@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .dyck1d import Pairing, is_dyck, match_positions
-from .errors import ContainsNeutral, DegreeViolation, NotInDC
+from .errors import ContainsNeutral, DegreeViolation, NotDyck, NotInDC
 from .grid import Picture, Symbol
 
 Pos = tuple[int, int]
@@ -54,47 +54,49 @@ class Circuit:
         return self.nodes[0]
 
 
-def in_DC(p: Picture, k: int | None = None) -> bool:
+def _require_corners(p: Picture) -> None:
+    if any(not s.is_corner for s in p.cells):
+        raise ContainsNeutral("crossword membership is defined over corner symbols")
+
+
+def in_DC(p: Picture) -> bool:
     """Whether every row is a row-Dyck word and every column a column-Dyck word."""
     if p.is_empty:
         return False
-    if any(not s.is_corner for s in p.cells):
-        raise ContainsNeutral("crossword membership is defined over corner symbols")
-    k = k or p.k
-    row_pr, col_pr = Pairing("Row", k), Pairing("Col", k)
+    _require_corners(p)
+    row_pr, col_pr = Pairing("Row", p.k), Pairing("Col", p.k)
     return all(is_dyck(p.row_word(i), row_pr) for i in range(1, p.rows + 1)) and all(
         is_dyck(p.col_word(j), col_pr) for j in range(1, p.cols + 1)
     )
 
 
 def matching_graph(p: Picture) -> MatchingGraph:
-    if not in_DC(p):
+    if p.is_empty:
         raise NotInDC("matching graph needs a crossword picture")
+    _require_corners(p)
     row_pr, col_pr = Pairing("Row", p.k), Pairing("Col", p.k)
-    row_edges = set()
-    for i in range(1, p.rows + 1):
-        for jo, jc in match_positions(p.row_word(i), row_pr):
-            row_edges.add(((i, jo), (i, jc)))
-    col_edges = set()
-    for j in range(1, p.cols + 1):
-        for io, ic in match_positions(p.col_word(j), col_pr):
-            col_edges.add(((io, j), (ic, j)))
+    row_edges, col_edges = set(), set()
+    try:
+        for i in range(1, p.rows + 1):
+            for jo, jc in match_positions(p.row_word(i), row_pr):
+                row_edges.add(((i, jo), (i, jc)))
+        for j in range(1, p.cols + 1):
+            for io, ic in match_positions(p.col_word(j), col_pr):
+                col_edges.add(((io, j), (ic, j)))
+    except NotDyck:
+        raise NotInDC("matching graph needs a crossword picture") from None
     return MatchingGraph(p.rows, p.cols, frozenset(row_edges), frozenset(col_edges), p)
 
 
 def _partner_maps(g: MatchingGraph) -> tuple[dict[Pos, Pos], dict[Pos, Pos]]:
     row_of: dict[Pos, Pos] = {}
     col_of: dict[Pos, Pos] = {}
-    for u, v in g.row_edges:
-        for x, y in ((u, v), (v, u)):
-            if x in row_of:
-                raise DegreeViolation(f"two row edges at {x}")
-            row_of[x] = y
-    for u, v in g.col_edges:
-        for x, y in ((u, v), (v, u)):
-            if x in col_of:
-                raise DegreeViolation(f"two column edges at {x}")
-            col_of[x] = y
+    for edges, partner, kind in ((g.row_edges, row_of, "row"), (g.col_edges, col_of, "column")):
+        for u, v in edges:
+            for x, y in ((u, v), (v, u)):
+                if x in partner:
+                    raise DegreeViolation(f"two {kind} edges at {x}")
+                partner[x] = y
     nodes = {(i, j) for i in range(1, g.rows + 1) for j in range(1, g.cols + 1)}
     if set(row_of) != nodes or set(col_of) != nodes:
         raise DegreeViolation("node without both a row and a column edge")
@@ -145,9 +147,7 @@ def picture_circuits(p: Picture) -> list[Circuit]:
 
 
 def is_quaternate(p: Picture) -> bool:
-    """Whether all matching-graph circuits have length exactly 4."""
-    if not in_DC(p):
-        raise NotInDC("quaternate test needs a crossword picture")
+    """Whether all matching-graph circuits have length 4; NotInDC off crosswords."""
     return all(c.length == 4 for c in picture_circuits(p))
 
 

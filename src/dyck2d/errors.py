@@ -56,6 +56,10 @@ class StaleRedex(Dyck2dError):
     """Redex no longer matches the current picture."""
 
 
+class HierarchyViolation(Dyck2dError, AssertionError):
+    """Class flags break the inclusion chain DW <= DN <= DQ <= DC; signals a bug."""
+
+
 class NotQuaternate(Dyck2dError):
     """Picture has a circuit longer than 4."""
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
-from .crossword import in_DC, is_quaternate, picture_circuits
+from .crossword import in_DC, picture_circuits
 from .dyck1d import Pairing, Word, is_dyck, prime_factorize, word_text
-from .errors import BudgetExceeded, NotDyck
+from .errors import BudgetExceeded, HierarchyViolation, NotDyck
 from .grid import Picture, hcat, parse_picture, picture_from_rows, sym, vcat
-from .neutralize import in_DN
+from .neutralize import _precedence
 from .wellnest import in_DW
 
 DEFAULT_CENSUS_BUDGET = 36
@@ -27,15 +27,11 @@ class ClassFlags:
     def __post_init__(self) -> None:
         chain = (self.in_dw, self.in_dn, self.in_dq, self.in_dc)
         for narrow, wide in zip(chain, chain[1:]):
-            assert not narrow or wide, f"hierarchy violated: {self}"
+            if narrow and not wide:
+                raise HierarchyViolation(f"hierarchy violated: {self}")
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "in_dc": self.in_dc,
-            "in_dq": self.in_dq,
-            "in_dn": self.in_dn,
-            "in_dw": self.in_dw,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,11 +44,16 @@ class Census:
 
 
 def classify(p: Picture) -> ClassFlags:
-    """Evaluate the four memberships; the inclusion chain is asserted."""
+    """The four memberships in hierarchy order, each only inside the wider class.
+
+    One matching pass gives the circuits.  On DQ, DN is decided by acyclicity
+    of the precedence relation (the paper's theorem); in_DN gives traces.
+    """
     dc = in_DC(p)
-    dq = dc and is_quaternate(p)
-    dn = dc and in_DN(p).member
-    dw = dc and in_DW(p)
+    rects = tuple(picture_circuits(p)) if dc else ()
+    dq = dc and all(r.length == 4 for r in rects)
+    dn = dq and _precedence(rects).is_acyclic()
+    dw = dn and in_DW(p)
     return ClassFlags(in_dc=dc, in_dq=dq, in_dn=dn, in_dw=dw)
 
 

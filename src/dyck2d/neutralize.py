@@ -6,7 +6,7 @@ import graphlib
 import json
 from dataclasses import dataclass
 
-from .crossword import Circuit, is_quaternate, picture_circuits
+from .crossword import Circuit, picture_circuits
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
 from .grid import Domain, N, Picture, sym
 
@@ -185,16 +185,15 @@ def _bounding_box(r: Circuit) -> tuple[int, int, int, int]:
     return min(rows), min(cols), max(rows), max(cols)
 
 
-def priority_graph(p: Picture) -> PrecedenceGraph:
-    """Priority edges by corner-in-box counting over the rectangles of p.
+def _precedence(rects: tuple[Circuit, ...]) -> PrecedenceGraph:
+    """Priority edges by corner-in-box counting over the given circuits.
 
     Rectangle alpha has priority over beta (edge alpha -> beta, alpha must be
     neutralized first) when 1, 2 or 4 of alpha's corners lie inside beta's
     bounding box or on its sides; a count of 3 is impossible and asserted.
     """
-    if not is_quaternate(p):
+    if any(r.length != 4 for r in rects):
         raise NotQuaternate("precedence is defined for quaternate pictures")
-    rects = tuple(picture_circuits(p))
     edges = set()
     boxes = {r.northwest: _bounding_box(r) for r in rects}
     for alpha in rects:
@@ -202,11 +201,7 @@ def priority_graph(p: Picture) -> PrecedenceGraph:
             if alpha is beta:
                 continue
             top, left, bottom, right = boxes[beta.northwest]
-            inside = sum(
-                1
-                for (i, j) in alpha.nodes
-                if top <= i <= bottom and left <= j <= right
-            )
+            inside = sum(top <= i <= bottom and left <= j <= right for i, j in alpha.nodes)
             if inside == 3:
                 raise ThreeCornerAnomaly(
                     f"{alpha.northwest} has 3 corners inside {beta.northwest}"
@@ -214,6 +209,11 @@ def priority_graph(p: Picture) -> PrecedenceGraph:
             if inside in (1, 2, 4):
                 edges.add((alpha.northwest, beta.northwest))
     return PrecedenceGraph(rects, frozenset(edges))
+
+
+def priority_graph(p: Picture) -> PrecedenceGraph:
+    """The precedence graph of p; NotInDC off crosswords, NotQuaternate off DQ."""
+    return _precedence(tuple(picture_circuits(p)))
 
 
 def in_DN_quaternate(p: Picture) -> bool:

@@ -69,6 +69,15 @@ class TestMatchingGraph:
     def test_requires_crossword(self):
         with pytest.raises(NotInDC):
             matching_graph(parse_picture("ba\ndc"))
+        # rows are Dyck, a column is not
+        with pytest.raises(NotInDC):
+            matching_graph(parse_picture("ab\nab"))
+        with pytest.raises(NotInDC):
+            matching_graph(parse_picture(""))
+
+    def test_neutral_raises(self):
+        with pytest.raises(ContainsNeutral):
+            matching_graph(parse_picture("aNb\ncNd"))
 
     def test_degree_law(self):
         for p in SMALL_DC:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dyck2d.crossword import in_DC, picture_circuits
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word, word_text
-from dyck2d.errors import BudgetExceeded, NotDyck
+from dyck2d.errors import BudgetExceeded, Dyck2dError, NotDyck
 from dyck2d.grid import parse_picture, render_picture
 from dyck2d.lab import (
     ClassFlags,
@@ -23,6 +28,20 @@ class TestClassFlags:
     def test_hierarchy_asserted(self):
         with pytest.raises(AssertionError):
             ClassFlags(in_dc=False, in_dq=True, in_dn=False, in_dw=False)
+
+    def test_hierarchy_checked_under_optimize(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "from dyck2d.lab import ClassFlags; ClassFlags(False, False, False, True)"
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert "HierarchyViolation" in result.stderr
+
+    def test_violation_is_a_package_error(self):
+        # the CLI maps every Dyck2dError to exit code 2
+        with pytest.raises(Dyck2dError):
+            ClassFlags(in_dc=True, in_dq=False, in_dn=True, in_dw=False)
 
     def test_as_dict(self):
         flags = ClassFlags(in_dc=True, in_dq=True, in_dn=False, in_dw=False)
@@ -78,6 +97,21 @@ class TestCensus:
         result = census(2, 4)
         assert result.counts == {"dc": 2, "dq": 2, "dn": 2, "dw": 1}
         assert render_picture(result.witnesses["dn_not_dw"]) == "aabb\nccdd"
+
+    @pytest.mark.parametrize(
+        "rows, cols, k, counts",
+        [
+            (4, 4, 1, (13, 12, 12, 2)),
+            (4, 6, 1, (125, 104, 104, 5)),
+            (6, 4, 1, (125, 104, 104, 5)),
+            (2, 8, 1, (14, 14, 14, 1)),
+            (2, 4, 2, (8, 8, 8, 4)),
+            (2, 6, 2, (40, 40, 40, 8)),
+            (4, 4, 2, (196, 192, 192, 32)),
+        ],
+    )
+    def test_golden_counts(self, rows, cols, k, counts):
+        assert census(rows, cols, k=k).counts == dict(zip(("dc", "dq", "dn", "dw"), counts))
 
     def test_monotone(self):
         counts = census(4, 4).counts

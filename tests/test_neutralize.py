@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dyck2d.errors import NotQuaternate, StaleRedex
+from dyck2d.errors import NotInDC, NotQuaternate, StaleRedex
 from dyck2d.grid import Domain, parse_picture, render_picture
 from dyck2d.lab import enumerate_dc
 from dyck2d.neutralize import (
@@ -130,6 +130,10 @@ class TestPrecedence:
         with pytest.raises(NotQuaternate):
             priority_graph(fx["fig3_left"])
 
+    def test_requires_crossword(self):
+        with pytest.raises(NotInDC):
+            priority_graph(parse_picture("ab\nab"))
+
     def test_nested_pair_is_acyclic(self, fx):
         g = priority_graph(fx["fig1_left"])
         assert g.is_acyclic()
@@ -162,8 +166,18 @@ class TestPrecedence:
 
     def test_acyclicity_decides_dn_for_quaternate(self, fx):
         from dyck2d.crossword import is_quaternate
+        from dyck2d.lab import classify
 
-        pool = [p for p in SMALL_DC if is_quaternate(p)]
-        pool += [fx[n] for n in ("fig1_left", "fig2", "fig5_left", "fig5_right", "p_N")]
+        k2 = [
+            p
+            for rows, cols in ((2, 2), (2, 4), (4, 2), (4, 4))
+            for p in enumerate_dc(rows, cols, k=2)
+        ]
+        pool = SMALL_DC + k2
+        names = ("fig1_left", "fig2", "fig3_left", "fig5_left", "fig5_right", "p_N")
+        pool += [fx[n] for n in names]
         for p in pool:
-            assert in_DN_quaternate(p) == in_DN(p).member
+            member = in_DN(p).member
+            assert classify(p).in_dn == member, render_picture(p)
+            if is_quaternate(p):
+                assert in_DN_quaternate(p) == member, render_picture(p)
