@@ -5,6 +5,10 @@ class Dyck2dError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(Dyck2dError, ValueError):
+    """Argument outside the domain of a generator or search."""
+
+
 class RaggedRows(Dyck2dError):
     """Picture text has lines of unequal length."""
 

@@ -7,7 +7,7 @@ from typing import Iterator
 
 from .crossword import in_DC, picture_circuits
 from .dyck1d import Pairing, Word, is_dyck, prime_factorize, word_text
-from .errors import BudgetExceeded, HierarchyViolation, NotDyck
+from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
 from .grid import Picture, hcat, parse_picture, picture_from_rows, sym, vcat
 from .neutralize import _precedence
 from .wellnest import in_DW
@@ -127,7 +127,7 @@ def census(
 ) -> Census:
     """Classify every crossword of the given size."""
     if rows % 2 or cols % 2:
-        raise ValueError("census sizes must be even")
+        raise InvalidArgument("census sizes must be even")
     if rows * cols > budget:
         raise BudgetExceeded(f"{rows}x{cols} exceeds the {budget}-cell budget")
     counts = {name: 0 for name in CLASS_NAMES}
@@ -182,7 +182,7 @@ def double_noose(h: int) -> Picture:
     junction cells so the two long circuits merge through a new rectangle.
     """
     if h < 1:
-        raise ValueError("h must be >= 1")
+        raise InvalidArgument("h must be >= 1")
     base = parse_picture(_DOUBLE_NOOSE_BASE)
     p = base
     for step in range(2, h + 1):

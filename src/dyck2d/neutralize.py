@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import graphlib
+import heapq
 import json
 from dataclasses import dataclass
 
 from .crossword import Circuit, picture_circuits
+from .dyck1d import _COL_CLOSE, _ROW_CLOSE
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
-from .grid import Domain, N, Picture, sym
+from .grid import NEUTRAL, Domain, N, Picture, sym
 
 Pos = tuple[int, int]
 
@@ -87,16 +89,71 @@ def apply_step(p: Picture, r: Redex) -> Picture:
     return Picture(p.rows, p.cols, p.k, tuple(cells))
 
 
+def _matching(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
+    """Opener -> closer flat positions by one stack per line.
+
+    Neutral cells are skipped; an unmatched closer or a bullet can never be
+    cancelled, so it clears the stack.
+    """
+    partner = {}
+    for line in lines:
+        stack = []
+        for x in line:
+            s = cells[x]
+            if s.role in close:
+                stack.append(x)
+            elif s.role != NEUTRAL:
+                top = cells[stack[-1]] if stack else None
+                if top and close[top.role] == s.role and top.index == s.index:
+                    partner[stack.pop()] = x
+                else:
+                    stack.clear()
+    return partner
+
+
 def _greedy(p: Picture) -> Decision:
+    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
+
+    A rectangle is a 4-cycle a -> b -> d -> c of the row and column matchings;
+    it waits for the owners of the non-neutral non-corner cells in its box
+    (forever for a cell that has none).  A cell turns neutral only as a
+    corner of its own rectangle and applying a redex disables no other, so
+    the ready set is find_redexes at every step and the heap pops its first.
+    """
+    cells, rows, cols = p.cells, p.rows, p.cols
+    row = _matching(cells, [range(i * cols, (i + 1) * cols) for i in range(rows)], _ROW_CLOSE)
+    col = _matching(cells, [range(j, rows * cols, cols) for j in range(cols)], _COL_CLOSE)
+    rects, owner = [], {}
+    for a, b in row.items():
+        d = col.get(b)
+        if cells[a].role == "a" and d is not None and row.get(col.get(a)) == d:
+            (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
+            for x in (a, b, col[a], d):
+                owner[x] = len(rects)
+            rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, len(rects)))
+    waits, dependents = [], [[] for _ in rects]
+    for left, top, right, bottom, _, rid in rects:
+        deps = {
+            owner.get(x)
+            for i in range(top - 1, bottom)
+            for x in range(i * cols + left - 1, i * cols + right)
+            if cells[x].role != NEUTRAL
+        } - {rid}
+        waits.append(len(deps))
+        for o in deps - {None}:
+            dependents[o].append(rid)
+    ready = [r for r in rects if not waits[r[-1]]]
+    heapq.heapify(ready)
     trace = []
-    while True:
-        redexes = find_redexes(p)
-        if not redexes:
-            break
-        r = redexes[0]
-        p = apply_step(p, r)
-        trace.append(r)
-    return Decision(all(s.is_neutral for s in p.cells), tuple(trace))
+    while ready:
+        left, top, right, bottom, index, rid = heapq.heappop(ready)
+        trace.append(Redex(Domain(top, left, bottom, right), index))
+        for r in dependents[rid]:
+            waits[r] -= 1
+            if not waits[r]:
+                heapq.heappush(ready, rects[r])
+    member = 4 * len(trace) == sum(s.role != NEUTRAL for s in cells)
+    return Decision(member, tuple(trace))
 
 
 def _exhaustive(p: Picture) -> Decision:
@@ -122,10 +179,13 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     """Decide neutralizability.
 
     greedy applies the first redex in (left, top, right, bottom) order until
-    fixpoint; exhaustive backtracks over all redex orders with memoization on
-    dead states and serves as the completeness oracle.  The paper-claimed
-    order independence (the two always agree) is exercised by the test suite
-    rather than re-checked on every call.
+    fixpoint, in one pass: Kahn's order over the rectangles of the row and
+    column matchings.  Cells turn neutral only as corners of their own
+    rectangle and a redex stays one until applied, so the ready rectangles are
+    exactly the redexes at every step.  exhaustive backtracks over all redex
+    orders with memoization on dead states and serves as the completeness
+    oracle.  The paper-claimed order independence (the two always agree) is
+    exercised by the test suite rather than re-checked on every call.
     """
     if strategy == "greedy":
         return _greedy(p)

@@ -3,7 +3,8 @@
 Everything here is written definitionally and shares no algorithmic ideas
 with the library: Dyck membership by repeated adjacent cancellation, circuit
 extraction by explicit partner tables built from the cancellation matching,
-neutralizability by blind search over all rectangles, and well-nestedness by
+neutralizability by blind search over all rectangles, the greedy trace by a
+rescan of every rectangle after each rewrite, and well-nestedness by
 a bottom-up closure over a finite universe of small pictures.
 """
 
@@ -150,6 +151,22 @@ def oracle_in_dn(p: Picture) -> bool:
         seen.add(q.cells)
         stack.extend(_rewrite(q, r) for r in _redexes(q))
     return False
+
+
+def oracle_greedy_trace(p: Picture) -> tuple[list[tuple[tuple[int, int, int, int], int]], bool]:
+    """Rewrite the least redex by (left, top, right, bottom) until none is left.
+
+    Returns the ((top, left, bottom, right), index) steps and whether the
+    final picture is all neutral.
+    """
+    trace = []
+    while True:
+        found = sorted(_redexes(p), key=lambda r: (r[1], r[0], r[3], r[2]))
+        if not found:
+            return trace, all(s.is_neutral for s in p.cells)
+        top, left, _, _ = found[0]
+        trace.append((found[0], p.cell(top, left).index))
+        p = _rewrite(p, found[0])
 
 
 def all_pictures(rows: int, cols: int) -> list[Picture]:

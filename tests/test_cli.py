@@ -37,6 +37,12 @@ class TestClassify:
         path = write(tmp_path, "ab\nabc")
         assert main(["classify", path]) == EXIT_INPUT_ERROR
 
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "picture.txt"
+        path.write_bytes(b"a\xffb\ncd")
+        assert main(["classify", str(path)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_k2(self, tmp_path, capsys):
         path = write(tmp_path, "a2 b2\nc2 d2")
         assert main(["classify", "--k", "2", path]) == EXIT_OK
@@ -90,6 +96,10 @@ class TestCensus:
         assert obj["counts"] == {"dc": 2, "dq": 2, "dn": 2, "dw": 1}
         assert obj["witnesses"]["dn_not_dw"] == "aabb\nccdd"
 
+    def test_odd_size(self, capsys):
+        assert main(["census", "--rows", "3", "--cols", "2"]) == EXIT_INPUT_ERROR
+        assert "even" in capsys.readouterr().err
+
     def test_budget(self, capsys):
         code = main(["census", "--rows", "8", "--cols", "8", "--budget", "36"])
         assert code == EXIT_INPUT_ERROR
@@ -99,6 +109,10 @@ class TestFamilies:
     def test_double_noose(self, capsys):
         assert main(["family", "--double-noose", "1"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "aaabbb\ncabdab\nacdbcd\ncccddd"
+
+    def test_double_noose_h_zero(self, capsys):
+        assert main(["family", "--double-noose", "0"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_embed_row(self, capsys):
         assert main(["embed-row", "abcd"]) == EXIT_OK

@@ -1,10 +1,21 @@
 import json
 import random
+import time
 
 import pytest
 
 from dyck2d.errors import NotInDC, NotQuaternate, StaleRedex
-from dyck2d.grid import Domain, parse_picture, render_picture
+from dyck2d.grid import (
+    BULLET_SYM,
+    N,
+    Domain,
+    Picture,
+    hcat,
+    parse_picture,
+    render_picture,
+    sym,
+    vcat,
+)
 from dyck2d.lab import enumerate_dc
 from dyck2d.neutralize import (
     Redex,
@@ -15,12 +26,17 @@ from dyck2d.neutralize import (
     priority_graph,
 )
 
-from oracles import oracle_in_dn
+from oracles import oracle_greedy_trace, oracle_in_dn
 
 SMALL_DC = [
     p
     for rows, cols in ((2, 2), (2, 4), (4, 2), (2, 6), (4, 4))
     for p in enumerate_dc(rows, cols)
+]
+K2_DC = [
+    p
+    for rows, cols in ((2, 2), (2, 4), (4, 2), (4, 4))
+    for p in enumerate_dc(rows, cols, k=2)
 ]
 
 
@@ -32,6 +48,13 @@ def perturbed(pictures, rng):
         if redexes:
             out.append(apply_step(p, rng.choice(redexes)))
     return out
+
+
+def with_cell(p, rng, choices):
+    """p with one random cell replaced by a random symbol from choices."""
+    cells = list(p.cells)
+    cells[rng.randrange(len(cells))] = rng.choice(choices)
+    return Picture(p.rows, p.cols, p.k, tuple(cells))
 
 
 class TestFindRedexes:
@@ -116,6 +139,34 @@ class TestInDN:
         for p in sample + perturbed(sample, rng):
             assert in_DN(p).member == oracle_in_dn(p)
 
+    def test_matches_greedy_rescan_oracle(self, fx):
+        rng = random.Random(5)
+        corners = [sym(role, i) for role in "abcd" for i in (1, 2)]
+        pool = SMALL_DC + perturbed(SMALL_DC, rng) + K2_DC + list(fx.values())
+        pool += [with_cell(p, rng, [N, BULLET_SYM]) for p in SMALL_DC + K2_DC]
+        # one changed corner breaks a row and a column: never a crossword
+        pool += [
+            with_cell(p, rng, [s for s in corners if s.index <= p.k])
+            for p in SMALL_DC + K2_DC
+            if p.rows == p.cols == 4
+        ]
+        for p in pool:
+            d = in_DN(p)
+            steps = [(r.domain.as_tuple(), r.index) for r in d.trace]
+            assert (steps, d.member) == oracle_greedy_trace(p), render_picture(p, "glyph")
+
+    def test_scale(self, fx):
+        tiled = vcat(*[hcat(*[fx["fig2"]] * 6)] * 6)
+        strip = hcat(*[parse_picture("ab\ncd")] * 1200)
+        start = time.perf_counter()
+        big, long = in_DN(tiled), in_DN(strip)
+        assert time.perf_counter() - start < 2.0
+        assert big.member and len(big.trace) == 144
+        assert long.member
+        assert [r.domain.as_tuple() for r in long.trace] == [
+            (1, j, 2, j + 1) for j in range(1, 2400, 2)
+        ]
+
     def test_trace_replays(self, fx):
         for name in ("fig2", "example1", "fig1_left"):
             p = fx[name]
@@ -168,12 +219,7 @@ class TestPrecedence:
         from dyck2d.crossword import is_quaternate
         from dyck2d.lab import classify
 
-        k2 = [
-            p
-            for rows, cols in ((2, 2), (2, 4), (4, 2), (4, 4))
-            for p in enumerate_dc(rows, cols, k=2)
-        ]
-        pool = SMALL_DC + k2
+        pool = SMALL_DC + K2_DC
         names = ("fig1_left", "fig2", "fig3_left", "fig5_left", "fig5_right", "p_N")
         pool += [fx[n] for n in names]
         for p in pool:
