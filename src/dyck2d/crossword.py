@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dyck1d import Pairing, is_dyck, match_positions
-from .errors import ContainsNeutral, DegreeViolation, NotDyck, NotInDC
-from .grid import Picture, Symbol
+from .dyck1d import _COL_CLOSE, _ROW_CLOSE
+from .errors import ContainsNeutral, DegreeViolation, NotInDC
+from .grid import NEUTRAL, Picture, Symbol
 
 Pos = tuple[int, int]
 Edge = tuple[Pos, Pos]
@@ -59,33 +59,68 @@ def _require_corners(p: Picture) -> None:
         raise ContainsNeutral("crossword membership is defined over corner symbols")
 
 
+def _stack_match(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
+    """Opener -> closer flat positions by one stack per line.
+
+    Neutral cells are skipped; an unmatched closer or a bullet can never be
+    cancelled, so it clears the stack.
+    """
+    partner = {}
+    for line in lines:
+        stack = []
+        for x in line:
+            s = cells[x]
+            if s.role in close:
+                stack.append(x)
+            elif s.role != NEUTRAL:
+                top = cells[stack[-1]] if stack else None
+                if top and close[top.role] == s.role and top.index == s.index:
+                    partner[stack.pop()] = x
+                else:
+                    stack.clear()
+    return partner
+
+
+def _matching(p: Picture) -> tuple[dict[int, int], dict[int, int]]:
+    """The row and the column matching of p, opener -> closer over flat positions.
+
+    A cell (i, j), 0-based, sits at i * p.cols + j.  Neutral and bullet cells
+    are never matched, so p is a crossword exactly when every cell is matched
+    in its row and in its column.
+    """
+    cells, rows, cols = p.cells, p.rows, p.cols
+    row_lines = [range(i * cols, (i + 1) * cols) for i in range(rows)]
+    col_lines = [range(j, rows * cols, cols) for j in range(cols)]
+    return _stack_match(cells, row_lines, _ROW_CLOSE), _stack_match(cells, col_lines, _COL_CLOSE)
+
+
+def _crossword_matching(p: Picture) -> tuple[dict[int, int], dict[int, int]] | None:
+    """The matching of a crossword; None for the empty picture and for a non-crossword.
+
+    Raises ContainsNeutral on a non-empty picture with a neutral or bullet cell.
+    """
+    if p.is_empty:
+        return None
+    _require_corners(p)
+    row, col = _matching(p)
+    return (row, col) if 2 * len(row) == 2 * len(col) == len(p.cells) else None
+
+
 def in_DC(p: Picture) -> bool:
     """Whether every row is a row-Dyck word and every column a column-Dyck word."""
-    if p.is_empty:
-        return False
-    _require_corners(p)
-    row_pr, col_pr = Pairing("Row", p.k), Pairing("Col", p.k)
-    return all(is_dyck(p.row_word(i), row_pr) for i in range(1, p.rows + 1)) and all(
-        is_dyck(p.col_word(j), col_pr) for j in range(1, p.cols + 1)
-    )
+    return _crossword_matching(p) is not None
 
 
 def matching_graph(p: Picture) -> MatchingGraph:
-    if p.is_empty:
+    match = _crossword_matching(p)
+    if match is None:
         raise NotInDC("matching graph needs a crossword picture")
-    _require_corners(p)
-    row_pr, col_pr = Pairing("Row", p.k), Pairing("Col", p.k)
-    row_edges, col_edges = set(), set()
-    try:
-        for i in range(1, p.rows + 1):
-            for jo, jc in match_positions(p.row_word(i), row_pr):
-                row_edges.add(((i, jo), (i, jc)))
-        for j in range(1, p.cols + 1):
-            for io, ic in match_positions(p.col_word(j), col_pr):
-                col_edges.add(((io, j), (ic, j)))
-    except NotDyck:
-        raise NotInDC("matching graph needs a crossword picture") from None
-    return MatchingGraph(p.rows, p.cols, frozenset(row_edges), frozenset(col_edges), p)
+
+    def pos(x: int) -> Pos:
+        return (x // p.cols + 1, x % p.cols + 1)
+
+    row_edges, col_edges = (frozenset((pos(x), pos(y)) for x, y in m.items()) for m in match)
+    return MatchingGraph(p.rows, p.cols, row_edges, col_edges, p)
 
 
 def _partner_maps(g: MatchingGraph) -> tuple[dict[Pos, Pos], dict[Pos, Pos]]:

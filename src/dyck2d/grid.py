@@ -266,6 +266,75 @@ def homogeneous(s: Symbol, rows: int, cols: int, k: int = 1) -> Picture:
     return Picture(rows, cols, k, (s,) * (rows * cols))
 
 
+def _exact_cover(
+    region: Domain,
+    reach: Callable[[int, int], Optional[tuple[int, int, int, int]]],
+    member: Callable[[Domain], bool],
+    min_domains: int = 1,
+) -> Optional[list[Domain]]:
+    """The first partition of region into member domains, sorted by (top, left).
+
+    Depth-first search on an explicit stack.  Each domain is anchored at the
+    top-left-most uncovered cell (i, j).  reach(i, j) returns None when no
+    domain is anchored there, else (bottom0, right0, bottom1, right1): the
+    bottom-right corners tried run from (bottom0, right0) to (bottom1,
+    right1) in ascending (bottom, right) order.  A row of corners ends at the
+    first overlap with the covered cells, and the search stops going down at
+    the first covered cell below the anchor.  A cover state that failed is
+    remembered and never searched again.  With min_domains > 1 the whole
+    region is never one domain.
+    """
+    top, left, width = region.top, region.left, region.cols
+    full = (1 << (region.rows * width)) - 1
+
+    def candidates(covered: int):
+        free = ~covered & full
+        i, j = divmod((free & -free).bit_length() - 1, width)
+        i, j = i + top, j + left
+        span = reach(i, j)
+        if span is None:
+            return
+        bottom0, right0, bottom1, right1 = span
+        for bottom in range(bottom0, min(bottom1, region.bottom) + 1):
+            if covered >> ((bottom - top) * width + j - left) & 1:
+                break
+            for right in range(right0, min(right1, region.right) + 1):
+                row_bits = ((1 << (right - j + 1)) - 1) << (j - left)
+                m = sum(row_bits << ((r - top) * width) for r in range(i, bottom + 1))
+                if m & covered:
+                    break
+                d = Domain(i, j, bottom, right)
+                if (m != full or min_domains < 2) and member(d):
+                    yield d, m
+
+    dead: set[tuple[int, int]] = set()
+    chosen: list[Domain] = []
+    masks: list[int] = []
+    covered = 0
+    stack = [candidates(0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            dead.add((covered, min(len(chosen), min_domains)))
+            stack.pop()
+            if chosen:
+                chosen.pop()
+                covered ^= masks.pop()
+            continue
+        chosen.append(step[0])
+        masks.append(step[1])
+        covered |= step[1]
+        if covered == full:
+            if len(chosen) >= min_domains:
+                return chosen
+        elif (covered, min(len(chosen), min_domains)) not in dead:
+            stack.append(candidates(covered))
+            continue
+        chosen.pop()
+        covered ^= masks.pop()
+    return None
+
+
 def simplot_partition(
     p: Picture,
     member: Callable[[Picture], bool],
@@ -275,15 +344,13 @@ def simplot_partition(
 
     Candidate domains are anchored at the top-left-most uncovered cell and
     tried in ascending (bottom, right) order, with backtracking; a None result
-    therefore proves no partition exists.  Domains come out sorted by
-    (top, left).  With min_domains=2 the single full-grid domain is rejected,
+    therefore proves no partition exists.  The search keeps an explicit stack,
+    so the number of domains is not bounded by the recursion limit.  Domains
+    come out sorted by (top, left).  With min_domains=2 the single full-grid domain is rejected,
     which lets recursive membership predicates avoid self-reference.
     """
     if p.is_empty:
         raise DomainOutOfBounds("cannot partition the empty picture")
-    rows, cols = p.rows, p.cols
-    total = rows * cols
-    full_mask = (1 << total) - 1
     member_cache: dict[Domain, bool] = {}
 
     def ok(d: Domain) -> bool:
@@ -291,37 +358,4 @@ def simplot_partition(
             member_cache[d] = bool(member(subpicture(p, d)))
         return member_cache[d]
 
-    def rect_mask(d: Domain) -> int:
-        m = 0
-        row_bits = ((1 << d.cols) - 1) << (d.left - 1)
-        for i in range(d.top - 1, d.bottom):
-            m |= row_bits << (i * cols)
-        return m
-
-    def search(covered: int, chosen: list[Domain]) -> Optional[list[Domain]]:
-        if covered == full_mask:
-            return list(chosen) if len(chosen) >= min_domains else None
-        inv = ~covered & full_mask
-        anchor = (inv & -inv).bit_length() - 1
-        ai, aj = divmod(anchor, cols)
-        for i2 in range(ai, rows):
-            # stop extending down once the column below the anchor is covered
-            if covered >> (i2 * cols + aj) & 1:
-                break
-            for j2 in range(aj, cols):
-                d = Domain(ai + 1, aj + 1, i2 + 1, j2 + 1)
-                m = rect_mask(d)
-                if m & covered:
-                    break
-                if len(chosen) == 0 and m == full_mask and min_domains > 1:
-                    continue
-                if not ok(d):
-                    continue
-                chosen.append(d)
-                found = search(covered | m, chosen)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
-    return search(0, [])
+    return _exact_cover(p.full_domain(), lambda i, j: (i, j, p.rows, p.cols), ok, min_domains)

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
-from .crossword import in_DC, picture_circuits
+from .crossword import _crossword_matching, picture_circuits
 from .dyck1d import Pairing, Word, is_dyck, prime_factorize, word_text
 from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
 from .grid import Picture, hcat, parse_picture, picture_from_rows, sym, vcat
-from .neutralize import _precedence
-from .wellnest import in_DW
+from .neutralize import _kahn, _rectangles
+from .wellnest import _well_nested
 
 DEFAULT_CENSUS_BUDGET = 36
 
@@ -46,15 +46,20 @@ class Census:
 def classify(p: Picture) -> ClassFlags:
     """The four memberships in hierarchy order, each only inside the wider class.
 
-    One matching pass gives the circuits.  On DQ, DN is decided by acyclicity
-    of the precedence relation (the paper's theorem); in_DN gives traces.
+    All four come from one row and column matching.  DC: every cell is
+    matched.  DQ: every a closes a 4-cycle, so the rectangles cover the
+    cells.  DN: Kahn's order over the rectangles completes, which on DQ is
+    acyclicity of the precedence relation (the paper's theorem).  DW: the
+    picture is tiled by accretions (see in_DW).  in_DN gives traces.
     """
-    dc = in_DC(p)
-    rects = tuple(picture_circuits(p)) if dc else ()
-    dq = dc and all(r.length == 4 for r in rects)
-    dn = dq and _precedence(rects).is_acyclic()
-    dw = dn and in_DW(p)
-    return ClassFlags(in_dc=dc, in_dq=dq, in_dn=dn, in_dw=dw)
+    match = _crossword_matching(p)
+    if match is None:
+        return ClassFlags(in_dc=False, in_dq=False, in_dn=False, in_dw=False)
+    rects, owner = _rectangles(p, *match)
+    dq = 4 * len(rects) == len(p.cells)
+    dn = dq and len(_kahn(p, rects, owner)) == len(rects)
+    dw = dn and _well_nested(p, *match)
+    return ClassFlags(in_dc=True, in_dq=dq, in_dn=dn, in_dw=dw)
 
 
 def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:

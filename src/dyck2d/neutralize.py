@@ -7,8 +7,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .crossword import Circuit, picture_circuits
-from .dyck1d import _COL_CLOSE, _ROW_CLOSE
+from .crossword import Circuit, _matching, picture_circuits
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
 from .grid import NEUTRAL, Domain, N, Picture, sym
 
@@ -89,40 +88,13 @@ def apply_step(p: Picture, r: Redex) -> Picture:
     return Picture(p.rows, p.cols, p.k, tuple(cells))
 
 
-def _matching(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
-    """Opener -> closer flat positions by one stack per line.
+def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, dict]:
+    """The 4-cycles a -> b -> d -> c of the row and column matchings.
 
-    Neutral cells are skipped; an unmatched closer or a bullet can never be
-    cancelled, so it clears the stack.
+    Each is a (left, top, right, bottom, index, id) tuple, 1-based, with id its
+    place in the list; the dict maps each corner's flat position to that id.
     """
-    partner = {}
-    for line in lines:
-        stack = []
-        for x in line:
-            s = cells[x]
-            if s.role in close:
-                stack.append(x)
-            elif s.role != NEUTRAL:
-                top = cells[stack[-1]] if stack else None
-                if top and close[top.role] == s.role and top.index == s.index:
-                    partner[stack.pop()] = x
-                else:
-                    stack.clear()
-    return partner
-
-
-def _greedy(p: Picture) -> Decision:
-    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
-
-    A rectangle is a 4-cycle a -> b -> d -> c of the row and column matchings;
-    it waits for the owners of the non-neutral non-corner cells in its box
-    (forever for a cell that has none).  A cell turns neutral only as a
-    corner of its own rectangle and applying a redex disables no other, so
-    the ready set is find_redexes at every step and the heap pops its first.
-    """
-    cells, rows, cols = p.cells, p.rows, p.cols
-    row = _matching(cells, [range(i * cols, (i + 1) * cols) for i in range(rows)], _ROW_CLOSE)
-    col = _matching(cells, [range(j, rows * cols, cols) for j in range(cols)], _COL_CLOSE)
+    cells, cols = p.cells, p.cols
     rects, owner = [], {}
     for a, b in row.items():
         d = col.get(b)
@@ -131,6 +103,18 @@ def _greedy(p: Picture) -> Decision:
             for x in (a, b, col[a], d):
                 owner[x] = len(rects)
             rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, len(rects)))
+    return rects, owner
+
+
+def _kahn(p: Picture, rects: list, owner: dict) -> list:
+    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
+
+    A rectangle waits for the owners of the non-neutral non-corner cells in
+    its box (forever for a cell that has none).  A cell turns neutral only as
+    a corner of its own rectangle and applying a redex disables no other, so
+    the ready set is find_redexes at every step and the heap pops its first.
+    """
+    cells, cols = p.cells, p.cols
     waits, dependents = [], [[] for _ in rects]
     for left, top, right, bottom, _, rid in rects:
         deps = {
@@ -144,35 +128,59 @@ def _greedy(p: Picture) -> Decision:
             dependents[o].append(rid)
     ready = [r for r in rects if not waits[r[-1]]]
     heapq.heapify(ready)
-    trace = []
+    order = []
     while ready:
-        left, top, right, bottom, index, rid = heapq.heappop(ready)
-        trace.append(Redex(Domain(top, left, bottom, right), index))
-        for r in dependents[rid]:
+        rect = heapq.heappop(ready)
+        order.append(rect)
+        for r in dependents[rect[-1]]:
             waits[r] -= 1
             if not waits[r]:
                 heapq.heappush(ready, rects[r])
-    member = 4 * len(trace) == sum(s.role != NEUTRAL for s in cells)
-    return Decision(member, tuple(trace))
+    return order
+
+
+def _greedy(p: Picture) -> Decision:
+    """Kahn's order over the rectangles of the row and column matchings."""
+    order = _kahn(p, *_rectangles(p, *_matching(p)))
+    trace = tuple(
+        Redex(Domain(top, left, bottom, right), index)
+        for left, top, right, bottom, index, _ in order
+    )
+    member = 4 * len(trace) == sum(s.role != NEUTRAL for s in p.cells)
+    return Decision(member, trace)
 
 
 def _exhaustive(p: Picture) -> Decision:
+    """Depth-first search over every redex order, on an explicit stack.
+
+    Each stack entry is a picture and its untried redexes; the trace is the
+    redex applied at each entry but the last.  A picture all of whose
+    redexes failed is dead and is never searched again.
+    """
     dead: set[tuple] = set()
-
-    def search(q: Picture) -> tuple[Redex, ...] | None:
+    trace: list[Redex] = []
+    stack: list = []
+    q = p
+    while True:
         if all(s.is_neutral for s in q.cells):
-            return ()
-        if q.cells in dead:
-            return None
-        for r in find_redexes(q):
-            rest = search(apply_step(q, r))
-            if rest is not None:
-                return (r,) + rest
-        dead.add(q.cells)
-        return None
-
-    trace = search(p)
-    return Decision(trace is not None, trace or ())
+            return Decision(True, tuple(trace))
+        if q.cells not in dead:
+            stack.append((q, iter(find_redexes(q))))
+        else:
+            trace.pop()
+        while stack:
+            top, untried = stack[-1]
+            r = next(untried, None)
+            if r is not None:
+                break
+            dead.add(top.cells)
+            stack.pop()
+            if stack:
+                trace.pop()
+        else:
+            return Decision(False, ())
+        trace.append(r)
+        q = apply_step(top, r)
 
 
 def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
@@ -245,13 +253,14 @@ def _bounding_box(r: Circuit) -> tuple[int, int, int, int]:
     return min(rows), min(cols), max(rows), max(cols)
 
 
-def _precedence(rects: tuple[Circuit, ...]) -> PrecedenceGraph:
-    """Priority edges by corner-in-box counting over the given circuits.
+def priority_graph(p: Picture) -> PrecedenceGraph:
+    """The precedence graph of p; NotInDC off crosswords, NotQuaternate off DQ.
 
     Rectangle alpha has priority over beta (edge alpha -> beta, alpha must be
     neutralized first) when 1, 2 or 4 of alpha's corners lie inside beta's
     bounding box or on its sides; a count of 3 is impossible and asserted.
     """
+    rects = tuple(picture_circuits(p))
     if any(r.length != 4 for r in rects):
         raise NotQuaternate("precedence is defined for quaternate pictures")
     edges = set()
@@ -269,11 +278,6 @@ def _precedence(rects: tuple[Circuit, ...]) -> PrecedenceGraph:
             if inside in (1, 2, 4):
                 edges.add((alpha.northwest, beta.northwest))
     return PrecedenceGraph(rects, frozenset(edges))
-
-
-def priority_graph(p: Picture) -> PrecedenceGraph:
-    """The precedence graph of p; NotInDC off crosswords, NotQuaternate off DQ."""
-    return _precedence(tuple(picture_circuits(p)))
 
 
 def in_DN_quaternate(p: Picture) -> bool:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .crossword import in_DC
+from .crossword import _crossword_matching
 from .dyck1d import Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from .grid import (
@@ -14,9 +15,9 @@ from .grid import (
     Symbol,
     empty_picture,
     hcat,
+    _exact_cover,
     homogeneous,
     picture_from_rows,
-    simplot_partition,
     subpicture,
     sym,
     vcat,
@@ -78,39 +79,60 @@ def nesting_accretion(acc: Accretion, mixed_border_indices: bool = True) -> Pict
     return picture_from_rows([top, *middle, bottom], k)
 
 
-def _frame_core(p: Picture, mixed_border_indices: bool) -> Picture | None:
-    """The unique accretion core determined by p's frame, or None."""
-    if p.rows < 2 or p.cols < 2:
-        return None
-    nw = p.cell(1, 1)
-    if nw.role != "a":
-        return None
-    i = nw.index
-    if (
-        p.cell(1, p.cols) != sym("b", i)
-        or p.cell(p.rows, 1) != sym("c", i)
-        or p.cell(p.rows, p.cols) != sym("d", i)
-    ):
-        return None
-    if (p.rows == 2) != (p.cols == 2):
-        return None  # a (0, n) or (n, 0) core is not a picture
-    w_r = p.row_word(1)[1:-1]
-    w_c = tuple(p.cell(r, 1) for r in range(2, p.rows))
-    try:
-        _check_border(w_r, "ab", Pairing("Row", p.k), None if mixed_border_indices else i)
-        _check_border(w_c, "ac", Pairing("Col", p.k), None if mixed_border_indices else i)
-    except NotDyckBorder:
-        return None
-    if p.row_word(p.rows)[1:-1] != tuple(_h_r(s) for s in w_r):
-        return None
-    if tuple(p.cell(r, p.cols) for r in range(2, p.rows)) != tuple(_h_c(s) for s in w_c):
-        return None
-    if p.rows == 2:
-        return empty_picture(p.k)
-    return subpicture(p, Domain(2, 2, p.rows - 1, p.cols - 1))
+def _is_frame(p: Picture, d: Domain, mixed_border_indices: bool) -> bool:
+    """Whether the border of d in the crossword p is a nesting accretion frame.
+
+    d is the box of the a at its top-left corner, so its top-right and
+    bottom-left corners are that a's partners, and the border words between
+    partners are Dyck; the rest is read from the border cells.
+    """
+    cells, cols = p.cells, p.cols
+    top, left, bottom, right = (x - 1 for x in d.as_tuple())
+    i = cells[top * cols + left].index
+    if cells[bottom * cols + right] != sym("d", i) or (d.rows == 2) != (d.cols == 2):
+        return False  # a (0, n) or (n, 0) core is not a picture
+    top_bottom = (
+        (cells[top * cols + j], cells[bottom * cols + j], "ab", _h_r) for j in range(left + 1, right)
+    )
+    left_right = (
+        (cells[r * cols + left], cells[r * cols + right], "ac", _h_c) for r in range(top + 1, bottom)
+    )
+    return all(
+        s.role in roles and t == image(s) and (mixed_border_indices or s.index == i)
+        for s, t, roles, image in chain(top_bottom, left_right)
+    )
 
 
-_dw_cache: dict[tuple, bool] = {}
+def _well_nested(
+    p: Picture, row: dict[int, int], col: dict[int, int], mixed_border_indices: bool = True
+) -> bool:
+    """DW membership of the crossword p, given its matching.
+
+    A picture is well-nested iff it is tiled by accretions: a part of a
+    partition that is itself partitioned can be replaced by its parts.  The
+    top-left corner of an accretion is an a whose row and column partners are
+    its top-right and bottom-left corners, so the only tile anchored at a
+    cell is that cell's box, and the cover never backtracks.  Boxes are
+    decided smallest first, each by its frame and a cover of its core by the
+    accretions already found.  Those are the memo: keyed by domain, it lives
+    for this call.
+    """
+    cols = p.cols
+    boxes = [
+        Domain(a // cols + 1, a % cols + 1, col[a] // cols + 1, b % cols + 1)
+        for a, b in row.items()
+        if p.cells[a].role == "a"
+    ]
+    accretions: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    reach = lambda i, j: accretions.get((i, j))
+    tile = lambda d: True
+    for d in sorted(boxes, key=lambda d: d.rows * d.cols):
+        if _is_frame(p, d, mixed_border_indices) and (
+            d.rows == 2
+            or _exact_cover(Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1), reach, tile)
+        ):
+            accretions[(d.top, d.left)] = (d.bottom, d.right, d.bottom, d.right)
+    return _exact_cover(p.full_domain(), reach, tile) is not None
 
 
 def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
@@ -118,32 +140,15 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
 
     p is well-nested iff it is empty, or it is the nesting accretion of a
     well-nested core (the frame determines the border words uniquely), or it
-    partitions into at least two well-nested subpictures.  Crossword
-    membership is a cheap necessary condition used to prune the search.
+    partitions into at least two well-nested subpictures.  Only crosswords
+    qualify; a picture with a neutral or bullet cell is not well-nested.
     """
     if p.is_empty:
         return True
-    key = (p.rows, p.cols, p.cells, mixed_border_indices)
-    cached = _dw_cache.get(key)
-    if cached is not None:
-        return cached
-    result = False
-    if (
-        p.rows >= 2
-        and p.cols >= 2
-        and p.rows % 2 == 0
-        and p.cols % 2 == 0
-        and all(s.is_corner for s in p.cells)
-        and in_DC(p)
-    ):
-        core = _frame_core(p, mixed_border_indices)
-        if core is not None and in_DW(core, mixed_border_indices):
-            result = True
-        else:
-            member = lambda q: in_DW(q, mixed_border_indices)
-            result = simplot_partition(p, member, min_domains=2) is not None
-    _dw_cache[key] = result
-    return result
+    if not all(s.is_corner for s in p.cells):
+        return False
+    match = _crossword_matching(p)
+    return match is not None and _well_nested(p, *match, mixed_border_indices)
 
 
 def chinese_accretion(p: Picture) -> Picture:
@@ -164,9 +169,6 @@ def chinese_accretion(p: Picture) -> Picture:
         homogeneous(sym("d", 1), 1, 1),
     )
     return vcat(top, mid, bottom)
-
-
-_db_cache: dict[tuple, bool] = {}
 
 
 def _db_frame_core(p: Picture) -> Picture | None:
@@ -196,29 +198,34 @@ def _db_frame_core(p: Picture) -> Picture | None:
 
 def in_DB(p: Picture) -> bool:
     """Chinese-boxes membership: accretion plus plain concatenation closure."""
+    return _in_db(p, {})
+
+
+def _in_db(p: Picture, memo: dict[tuple, bool]) -> bool:
+    """in_DB with a memo keyed by picture content that lives for one top-level call."""
     if p.is_empty:
         return True
     key = (p.rows, p.cols, p.cells)
-    cached = _db_cache.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     result = False
     core = _db_frame_core(p)
-    if core is not None and in_DB(core):
+    if core is not None and _in_db(core, memo):
         result = True
     if not result:
         for j in range(1, p.cols):
-            if in_DB(subpicture(p, Domain(1, 1, p.rows, j))) and in_DB(
-                subpicture(p, Domain(1, j + 1, p.rows, p.cols))
+            if _in_db(subpicture(p, Domain(1, 1, p.rows, j)), memo) and _in_db(
+                subpicture(p, Domain(1, j + 1, p.rows, p.cols)), memo
             ):
                 result = True
                 break
     if not result:
         for i in range(1, p.rows):
-            if in_DB(subpicture(p, Domain(1, 1, i, p.cols))) and in_DB(
-                subpicture(p, Domain(i + 1, 1, p.rows, p.cols))
+            if _in_db(subpicture(p, Domain(1, 1, i, p.cols)), memo) and _in_db(
+                subpicture(p, Domain(i + 1, 1, p.rows, p.cols)), memo
             ):
                 result = True
                 break
-    _db_cache[key] = result
+    memo[key] = result
     return result

@@ -237,3 +237,8 @@ class TestSimplotPartition:
     def test_empty_raises(self):
         with pytest.raises(DomainOutOfBounds):
             simplot_partition(empty_picture(), lambda q: True)
+
+    def test_long_row(self):
+        p = homogeneous(sym("a", 1), 1, 1200)
+        parts = simplot_partition(p, lambda q: True)
+        assert parts == [Domain(1, j, 1, j) for j in range(1, 1201)]

@@ -1,14 +1,15 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from dyck2d.crossword import in_DC, picture_circuits
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word, word_text
-from dyck2d.errors import BudgetExceeded, Dyck2dError, NotDyck
-from dyck2d.grid import parse_picture, render_picture
+from dyck2d.errors import BudgetExceeded, ContainsNeutral, Dyck2dError, NotDyck
+from dyck2d.grid import hcat, parse_picture, render_picture
 from dyck2d.lab import (
     ClassFlags,
     census,
@@ -61,6 +62,17 @@ class TestClassify:
     def test_minimal_block(self):
         assert all(classify(parse_picture("ab\ncd")).as_dict().values())
 
+    def test_neutral_cells_raise(self):
+        with pytest.raises(ContainsNeutral):
+            classify(parse_picture("aNNb\ncNNd"))
+
+    def test_long_strip(self):
+        strip = hcat(*[parse_picture("ab\ncd")] * 1200)
+        start = time.perf_counter()
+        flags = classify(strip)
+        assert time.perf_counter() - start < 1.0
+        assert all(flags.as_dict().values())
+
 
 class TestEnumerateDC:
     def test_odd_sizes_empty(self):
@@ -108,6 +120,7 @@ class TestCensus:
             (2, 4, 2, (8, 8, 8, 4)),
             (2, 6, 2, (40, 40, 40, 8)),
             (4, 4, 2, (196, 192, 192, 32)),
+            (6, 6, 1, (5403, 3547, 3545, 21)),
         ],
     )
     def test_golden_counts(self, rows, cols, k, counts):

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,26 @@ class TestInDN:
         assert [r.domain.as_tuple() for r in long.trace] == [
             (1, j, 2, j + 1) for j in range(1, 2400, 2)
         ]
+
+    def test_exhaustive_needs_no_recursion(self):
+        # the 2x80 strip takes 40 steps; the limit is below that
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import sys\n"
+            "from dyck2d.grid import hcat, parse_picture\n"
+            "from dyck2d.neutralize import in_DN\n"
+            "strip = hcat(*[parse_picture('ab\\ncd')] * 40)\n"
+            "sys.setrecursionlimit(30)\n"
+            "d = in_DN(strip, 'exhaustive')\n"
+            "assert d.member and d.trace == in_DN(strip).trace, d\n"
+            "print(len(d.trace))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["40"]
 
     def test_trace_replays(self, fx):
         for name in ("fig2", "example1", "fig1_left"):

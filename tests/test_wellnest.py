@@ -1,11 +1,14 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyck2d.crossword import in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
 from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
-from dyck2d.grid import empty_picture, parse_picture, render_picture
-from dyck2d.lab import enumerate_dc
+from dyck2d import wellnest
+from dyck2d.grid import empty_picture, hcat, parse_picture, render_picture
+from dyck2d.lab import census, enumerate_dc
 from dyck2d.wellnest import (
     Accretion,
     chinese_accretion,
@@ -113,11 +116,52 @@ class TestInDW:
     def test_odd_sizes_rejected(self):
         assert not in_DW(parse_picture("ab"))
 
+    def test_neutral_and_bullet_cells(self):
+        assert not in_DW(parse_picture("aNNb\ncNNd"))
+        assert not in_DW(parse_picture("a**b\nc**d"))
+
+    def test_uniform_border_indices(self):
+        core = parse_picture("a1 b1\nc1 d1", k=2)
+        acc = Accretion(2, parse_word("a1 b1", k=2), parse_word("a1 c1", k=2), core)
+        framed = nesting_accretion(acc)
+        assert in_DW(framed)
+        assert not in_DW(framed, mixed_border_indices=False)
+
+    def test_long_strip(self):
+        strip = hcat(*[parse_picture("ab\ncd")] * 1200)
+        start = time.perf_counter()
+        assert in_DW(strip)
+        assert time.perf_counter() - start < 1.0
+
+    def test_strip_ending_in_p_n(self, fx):
+        # no partition splits p_N off the blocks before it
+        strip = hcat(*[parse_picture("ab\ncd")] * 40, fx["p_N"])
+        start = time.perf_counter()
+        assert not in_DW(strip)
+        assert time.perf_counter() - start < 1.0
+
     def test_matches_bottom_up_oracle(self):
         oracle = oracle_dw_set(4, 4)
         for rows, cols in ((2, 2), (2, 4), (4, 2), (4, 4)):
             for p in enumerate_dc(rows, cols):
                 assert in_DW(p) == ((p.rows, p.cols, p.cells) in oracle), render_picture(p)
+
+
+class TestMemo:
+    def test_no_module_state_grows(self, fx):
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(wellnest).items()
+                if isinstance(value, (dict, set, list))
+            }
+
+        before = sizes()
+        for _ in range(2):
+            census(4, 4)
+            in_DB(fx["fig1_mid"])
+            in_DB(chinese_accretion(fx["fig1_mid"]))
+        assert sizes() == before
 
 
 class TestChineseBoxes:
