@@ -6,9 +6,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 from .crossword import _crossword_matching, picture_circuits
-from .dyck1d import Pairing, Word, is_dyck, prime_factorize, word_text
+from .dyck1d import Pairing, Word, is_dyck, word_text
 from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
-from .grid import Picture, hcat, parse_picture, picture_from_rows, sym, vcat
+from .grid import Picture, parse_picture, picture_from_rows, sym, vcat
 from .neutralize import _kahn, _rectangles
 from .wellnest import _well_nested
 
@@ -67,9 +67,9 @@ def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:
 
     Cells are filled in row-major order, letters tried in a < b < c < d with
     indices ascending, so output order is lexicographic.  A partial row is
-    pruned when its stack cannot empty in the remaining columns; a partial
-    column when its stack cannot empty in the remaining rows (depth and
-    parity, since each later cell moves its stack by exactly one).
+    pruned when its stack is deeper than the remaining columns; a partial
+    column when its stack is deeper than the remaining rows.  Parity needs
+    no check: the sizes are even and each cell moves both stacks by one.
     """
     if rows % 2 or cols % 2 or rows <= 0 or cols <= 0:
         return
@@ -96,13 +96,13 @@ def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:
             if not row_push and not (row_stack and row_pr.matches(row_stack[-1], s)):
                 continue
             depth = len(row_stack) + (1 if row_push else -1)
-            if depth > cols_left or (cols_left - depth) % 2:
+            if depth > cols_left:
                 continue
             col_push = col_pr.is_open(s)
             if not col_push and not (col_stack and col_pr.matches(col_stack[-1], s)):
                 continue
             depth = len(col_stack) + (1 if col_push else -1)
-            if depth > rows_left or (rows_left - depth) % 2:
+            if depth > rows_left:
                 continue
             if row_push:
                 row_stack.append(s)
@@ -151,30 +151,24 @@ def census(
     return Census(rows, cols, k, counts, witnesses)
 
 
+_EMBED_COLUMN = {
+    sym(r, 1): tuple(sym(x, 1) for x in col)
+    for r, col in zip("abcd", ("acac", "bdbd", "aacc", "bbdd"))
+}
+
+
 def embed_row(w: Word) -> Picture:
     """A height-4 neutralizable picture whose third row is w.
 
-    Built by structural induction on the row word: length-2 primes map to
-    fixed 4x2 blocks, concatenations juxtapose, and wrapped primes extend
-    with single border columns.
+    By structural induction on the row word: length-2 primes map to fixed
+    4x2 blocks (ab to ab/cd/ab/cd, cd to ab/ab/cd/cd), concatenations
+    juxtapose, and a wrapped prime gains a border column on each side (acac
+    and bdbd around a...b, aacc and bbdd around c...d).  So column t
+    depends only on the letter w[t], and the picture is read off that table.
     """
-    if not is_dyck(w, Pairing("Row", 1)) or not w:
+    if not w or not is_dyck(w, Pairing("Row", 1)) or not all(s in _EMBED_COLUMN for s in w):
         raise NotDyck(word_text(w))
-    a, b, c, d = (sym(r, 1) for r in "abcd")
-    factors = prime_factorize(w, Pairing("Row", 1))
-    if len(factors) > 1:
-        return hcat(*(embed_row(f) for f in factors))
-    if w == (a, b):
-        return parse_picture("ab\ncd\nab\ncd")
-    if w == (c, d):
-        return parse_picture("ab\nab\ncd\ncd")
-    inner = embed_row(w[1:-1])
-    if w[0] == a:
-        left, right = "acac", "bdbd"
-    else:
-        left, right = "aacc", "bbdd"
-    col = lambda t: picture_from_rows([[sym(r, 1)] for r in t])
-    return hcat(col(left), inner, col(right))
+    return picture_from_rows(zip(*(_EMBED_COLUMN[s] for s in w)))
 
 
 _DOUBLE_NOOSE_BASE = "aaabbb\ncabdab\nacdbcd\ncccddd"

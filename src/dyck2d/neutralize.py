@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .crossword import Circuit, _matching, picture_circuits
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
-from .grid import NEUTRAL, Domain, N, Picture, sym
+from .grid import NEUTRAL, Domain, N, Picture
 
 Pos = tuple[int, int]
 
@@ -36,56 +36,35 @@ class Decision:
         )
 
 
-def _matches_redex(p: Picture, d: Domain, index: int) -> bool:
-    if d.bottom > p.rows or d.right > p.cols or d.rows < 2 or d.cols < 2:
-        return False
-    corners = {
-        (d.top, d.left): "a",
-        (d.top, d.right): "b",
-        (d.bottom, d.left): "c",
-        (d.bottom, d.right): "d",
-    }
-    for (i, j), role in corners.items():
-        if p.cell(i, j) != sym(role, index):
-            return False
-    for i in range(d.top, d.bottom + 1):
-        for j in range(d.left, d.right + 1):
-            if (i, j) not in corners and not p.cell(i, j).is_neutral:
-                return False
-    return True
-
-
 def find_redexes(p: Picture) -> list[Redex]:
     """All rewritable rectangles, sorted by (left, top, right, bottom).
 
-    Column-major order matches the sequence of the worked 4x6 reduction:
-    its first step is the inner rectangle at (2,2), not the one at (1,4).
+    A redex is a 4-cycle of the row and column matchings whose box holds no
+    other non-neutral cell: its a and b have only neutral cells between them,
+    which the matching skips, so they are partners, and likewise for each
+    side.  These are the rectangles Kahn's order starts from.  Column-major
+    order matches the sequence of the worked 4x6 reduction: its first step is
+    the inner rectangle at (2,2), not the one at (1,4).
     """
-    out = []
-    for top in range(1, p.rows):
-        for left in range(1, p.cols):
-            nw = p.cell(top, left)
-            if nw.role != "a":
-                continue
-            for bottom in range(top + 1, p.rows + 1):
-                if p.cell(bottom, left).role == "c" and p.cell(bottom, left).index == nw.index:
-                    for right in range(left + 1, p.cols + 1):
-                        d = Domain(top, left, bottom, right)
-                        if _matches_redex(p, d, nw.index):
-                            out.append(Redex(d, nw.index))
-    out.sort(key=lambda r: (r.domain.left, r.domain.top, r.domain.right, r.domain.bottom))
-    return out
+    rects, owner = _rectangles(p, *_matching(p))
+    ready = [r for r, deps in zip(rects, _deps(p, rects, owner)) if not deps]
+    return [_redex(r) for r in sorted(ready)]
 
 
 def apply_step(p: Picture, r: Redex) -> Picture:
     """Overwrite the redex rectangle with neutral cells."""
-    if not _matches_redex(p, r.domain, r.index):
+    if r not in find_redexes(p):
         raise StaleRedex(f"{r.domain.as_tuple()} no longer matches")
     cells = list(p.cells)
     for i in range(r.domain.top, r.domain.bottom + 1):
         for j in range(r.domain.left, r.domain.right + 1):
             cells[(i - 1) * p.cols + (j - 1)] = N
     return Picture(p.rows, p.cols, p.k, tuple(cells))
+
+
+def _redex(rect: tuple) -> Redex:
+    left, top, right, bottom, index, _ = rect
+    return Redex(Domain(top, left, bottom, right), index)
 
 
 def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, dict]:
@@ -106,23 +85,35 @@ def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[l
     return rects, owner
 
 
-def _kahn(p: Picture, rects: list, owner: dict) -> list:
-    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
+def _deps(p: Picture, rects: list, owner: dict) -> list[set]:
+    """Per rectangle, the owners of the non-neutral non-corner cells in its box.
 
-    A rectangle waits for the owners of the non-neutral non-corner cells in
-    its box (forever for a cell that has none).  A cell turns neutral only as
-    a corner of its own rectangle and applying a redex disables no other, so
-    the ready set is find_redexes at every step and the heap pops its first.
+    A cell that is no rectangle's corner contributes None: it never turns
+    neutral, so a rectangle that waits for it waits forever.
     """
     cells, cols = p.cells, p.cols
-    waits, dependents = [], [[] for _ in rects]
-    for left, top, right, bottom, _, rid in rects:
-        deps = {
+    return [
+        {
             owner.get(x)
             for i in range(top - 1, bottom)
             for x in range(i * cols + left - 1, i * cols + right)
             if cells[x].role != NEUTRAL
-        } - {rid}
+        }
+        - {rid}
+        for left, top, right, bottom, _, rid in rects
+    ]
+
+
+def _kahn(p: Picture, rects: list, owner: dict) -> list:
+    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
+
+    A rectangle waits for its _deps.  A cell turns neutral only as a corner
+    of its own rectangle and applying a redex disables no other, so the
+    ready set is find_redexes of the rewritten picture at every step and
+    the heap pops its first.
+    """
+    waits, dependents = [], [[] for _ in rects]
+    for rid, deps in enumerate(_deps(p, rects, owner)):
         waits.append(len(deps))
         for o in deps - {None}:
             dependents[o].append(rid)
@@ -141,46 +132,9 @@ def _kahn(p: Picture, rects: list, owner: dict) -> list:
 
 def _greedy(p: Picture) -> Decision:
     """Kahn's order over the rectangles of the row and column matchings."""
-    order = _kahn(p, *_rectangles(p, *_matching(p)))
-    trace = tuple(
-        Redex(Domain(top, left, bottom, right), index)
-        for left, top, right, bottom, index, _ in order
-    )
+    trace = tuple(map(_redex, _kahn(p, *_rectangles(p, *_matching(p)))))
     member = 4 * len(trace) == sum(s.role != NEUTRAL for s in p.cells)
     return Decision(member, trace)
-
-
-def _exhaustive(p: Picture) -> Decision:
-    """Depth-first search over every redex order, on an explicit stack.
-
-    Each stack entry is a picture and its untried redexes; the trace is the
-    redex applied at each entry but the last.  A picture all of whose
-    redexes failed is dead and is never searched again.
-    """
-    dead: set[tuple] = set()
-    trace: list[Redex] = []
-    stack: list = []
-    q = p
-    while True:
-        if all(s.is_neutral for s in q.cells):
-            return Decision(True, tuple(trace))
-        if q.cells not in dead:
-            stack.append((q, iter(find_redexes(q))))
-        else:
-            trace.pop()
-        while stack:
-            top, untried = stack[-1]
-            r = next(untried, None)
-            if r is not None:
-                break
-            dead.add(top.cells)
-            stack.pop()
-            if stack:
-                trace.pop()
-        else:
-            return Decision(False, ())
-        trace.append(r)
-        q = apply_step(top, r)
 
 
 def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
@@ -188,18 +142,17 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
 
     greedy applies the first redex in (left, top, right, bottom) order until
     fixpoint, in one pass: Kahn's order over the rectangles of the row and
-    column matchings.  Cells turn neutral only as corners of their own
-    rectangle and a redex stays one until applied, so the ready rectangles are
-    exactly the redexes at every step.  exhaustive backtracks over all redex
-    orders with memoization on dead states and serves as the completeness
-    oracle.  The paper-claimed order independence (the two always agree) is
-    exercised by the test suite rather than re-checked on every call.
+    column matchings.  exhaustive is the verdict of a search over every
+    redex order, with the trace of the order it finds.  Two redexes never
+    share a corner and a redex stays one until it is applied, so every
+    maximal order applies the same rectangles: the search never backtracks
+    on a member, whose trace is the greedy one, and finds no order off DN,
+    where its trace is empty.
     """
-    if strategy == "greedy":
-        return _greedy(p)
-    if strategy == "exhaustive":
-        return _exhaustive(p)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in ("greedy", "exhaustive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    d = _greedy(p)
+    return d if d.member or strategy == "greedy" else Decision(False, ())
 
 
 @dataclass(frozen=True, slots=True)

@@ -178,6 +178,7 @@ def test_criterion_7_order_independence():
     ]
     for p in pool + perturbed:
         assert in_DN(p, "greedy").member == in_DN(p, "exhaustive").member
+        assert in_DN(p).member == oracle_in_dn(p)
 
     quaternate_pool = [
         p

@@ -121,6 +121,11 @@ class TestFamilies:
     def test_embed_row_rejects_non_dyck(self):
         assert main(["embed-row", "ba"]) == EXIT_INPUT_ERROR
 
+    def test_embed_row_deep_word(self, capsys):
+        word = "a" * 1000 + "b" * 1000
+        assert main(["embed-row", word]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2] == word
+
 
 class TestSearch:
     def test_hamiltonian(self, capsys):

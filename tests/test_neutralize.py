@@ -30,7 +30,7 @@ from dyck2d.neutralize import (
     priority_graph,
 )
 
-from oracles import oracle_greedy_trace, oracle_in_dn
+from oracles import _redexes, oracle_greedy_trace, oracle_in_dn
 
 SMALL_DC = [
     p
@@ -61,6 +61,21 @@ def with_cell(p, rng, choices):
     return Picture(p.rows, p.cols, p.k, tuple(cells))
 
 
+def rescan_pool(fx):
+    """Crosswords, rewritten ones, fixtures, and N, bullet and corner mutations."""
+    rng = random.Random(5)
+    corners = [sym(role, i) for role in "abcd" for i in (1, 2)]
+    pool = SMALL_DC + perturbed(SMALL_DC, rng) + K2_DC + list(fx.values())
+    pool += [with_cell(p, rng, [N, BULLET_SYM]) for p in SMALL_DC + K2_DC]
+    # one changed corner breaks a row and a column: never a crossword
+    pool += [
+        with_cell(p, rng, [s for s in corners if s.index <= p.k])
+        for p in SMALL_DC + K2_DC
+        if p.rows == p.cols == 4
+    ]
+    return pool
+
+
 class TestFindRedexes:
     def test_minimal_block(self):
         [r] = find_redexes(parse_picture("ab\ncd"))
@@ -83,6 +98,13 @@ class TestFindRedexes:
     def test_indices_must_agree(self):
         assert find_redexes(parse_picture("a1 b2\nc1 d2", k=2)) == []
 
+    def test_matches_rescan_oracle(self, fx):
+        for p in rescan_pool(fx):
+            found = sorted(_redexes(p), key=lambda r: (r[1], r[0], r[3], r[2]))
+            expected = [(r, p.cell(r[0], r[1]).index) for r in found]
+            actual = [(r.domain.as_tuple(), r.index) for r in find_redexes(p)]
+            assert actual == expected, render_picture(p, "glyph")
+
 
 class TestApplyStep:
     def test_rewrites_to_neutral(self):
@@ -93,8 +115,10 @@ class TestApplyStep:
         p = parse_picture("ab\ncd")
         r = Redex(Domain(1, 1, 2, 2), 1)
         q = apply_step(p, r)
-        with pytest.raises(StaleRedex):
-            apply_step(q, r)
+        # already applied, wrong index, past the picture's edge
+        for pic, stale in ((q, r), (p, Redex(r.domain, 2)), (p, Redex(Domain(1, 1, 2, 3), 1))):
+            with pytest.raises(StaleRedex):
+                apply_step(pic, stale)
 
 
 class TestInDN:
@@ -136,6 +160,7 @@ class TestInDN:
         rng = random.Random(7)
         for p in SMALL_DC + perturbed(SMALL_DC, rng):
             assert in_DN(p, "greedy").member == in_DN(p, "exhaustive").member
+            assert in_DN(p).member == oracle_in_dn(p)
 
     def test_matches_blind_search_oracle(self):
         rng = random.Random(11)
@@ -144,20 +169,18 @@ class TestInDN:
             assert in_DN(p).member == oracle_in_dn(p)
 
     def test_matches_greedy_rescan_oracle(self, fx):
-        rng = random.Random(5)
-        corners = [sym(role, i) for role in "abcd" for i in (1, 2)]
-        pool = SMALL_DC + perturbed(SMALL_DC, rng) + K2_DC + list(fx.values())
-        pool += [with_cell(p, rng, [N, BULLET_SYM]) for p in SMALL_DC + K2_DC]
-        # one changed corner breaks a row and a column: never a crossword
-        pool += [
-            with_cell(p, rng, [s for s in corners if s.index <= p.k])
-            for p in SMALL_DC + K2_DC
-            if p.rows == p.cols == 4
-        ]
-        for p in pool:
+        for p in rescan_pool(fx):
             d = in_DN(p)
             steps = [(r.domain.as_tuple(), r.index) for r in d.trace]
             assert (steps, d.member) == oracle_greedy_trace(p), render_picture(p, "glyph")
+
+    def test_exhaustive_matches_rescan_oracle(self, fx):
+        for p in rescan_pool(fx):
+            steps, member = oracle_greedy_trace(p)
+            d = in_DN(p, "exhaustive")
+            expected = (steps, True) if member else ([], False)
+            actual = [(r.domain.as_tuple(), r.index) for r in d.trace], d.member
+            assert actual == expected, render_picture(p, "glyph")
 
     def test_scale(self, fx):
         tiled = vcat(*[hcat(*[fx["fig2"]] * 6)] * 6)
@@ -170,6 +193,13 @@ class TestInDN:
         assert [r.domain.as_tuple() for r in long.trace] == [
             (1, j, 2, j + 1) for j in range(1, 2400, 2)
         ]
+
+    def test_exhaustive_scale(self):
+        strip = parse_picture("ab" * 1200 + "\n" + "cd" * 1200)
+        start = time.perf_counter()
+        d = in_DN(strip, "exhaustive")
+        assert time.perf_counter() - start < 1.0
+        assert d.member and d.trace == in_DN(strip).trace
 
     def test_exhaustive_needs_no_recursion(self):
         # the 2x80 strip takes 40 steps; the limit is below that
