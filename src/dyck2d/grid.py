@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -217,36 +218,40 @@ def concat(p: Picture, q: Picture, axis: str = "horizontal") -> Picture:
     """Horizontal or vertical juxtaposition; the empty picture is the identity."""
     if axis not in ("horizontal", "vertical"):
         raise ValueError(f"unknown axis {axis!r}")
-    if p.is_empty:
-        return q
-    if q.is_empty:
-        return p
-    k = max(p.k, q.k)
-    if axis == "horizontal":
-        if p.rows != q.rows:
-            raise SizeMismatch(f"{p.rows} rows vs {q.rows} rows")
-        cells = []
-        for i in range(1, p.rows + 1):
-            cells.extend(p.row_word(i))
-            cells.extend(q.row_word(i))
-        return Picture(p.rows, p.cols + q.cols, k, tuple(cells))
-    if p.cols != q.cols:
-        raise SizeMismatch(f"{p.cols} cols vs {q.cols} cols")
-    return Picture(p.rows + q.rows, p.cols, k, p.cells + q.cells)
+    return _join((p, q), axis == "horizontal")
+
+
+def _join(ps: tuple[Picture, ...], horizontal: bool) -> Picture:
+    """All of ps side by side or stacked, in one pass over their cells.
+
+    Empty pictures are skipped (the identity) and k is the largest k of the
+    others.  With nothing else to join it returns the last picture, or the
+    empty picture when there is none, as a pairwise fold of concat would.
+    """
+    parts = [p for p in ps if not p.is_empty]
+    if len(parts) < 2:
+        return parts[0] if parts else (ps[-1] if ps else empty_picture())
+    first, k = parts[0], max(p.k for p in parts)
+    if horizontal:
+        for q in parts:
+            if q.rows != first.rows:
+                raise SizeMismatch(f"{first.rows} rows vs {q.rows} rows")
+        runs = (q.cells[i * q.cols : (i + 1) * q.cols] for i in range(first.rows) for q in parts)
+        cells = tuple(chain.from_iterable(runs))
+        return Picture(first.rows, sum(q.cols for q in parts), k, cells)
+    for q in parts:
+        if q.cols != first.cols:
+            raise SizeMismatch(f"{first.cols} cols vs {q.cols} cols")
+    cells = tuple(chain.from_iterable(q.cells for q in parts))
+    return Picture(sum(q.rows for q in parts), first.cols, k, cells)
 
 
 def hcat(*ps: Picture) -> Picture:
-    out = empty_picture()
-    for p in ps:
-        out = concat(out, p, "horizontal")
-    return out
+    return _join(ps, horizontal=True)
 
 
 def vcat(*ps: Picture) -> Picture:
-    out = empty_picture()
-    for p in ps:
-        out = concat(out, p, "vertical")
-    return out
+    return _join(ps, horizontal=False)
 
 
 def subpicture(p: Picture, d: Domain) -> Picture:

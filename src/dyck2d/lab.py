@@ -6,9 +6,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 from .crossword import _crossword_matching, picture_circuits
-from .dyck1d import Pairing, Word, is_dyck, word_text
+from .dyck1d import ROW, Word, is_dyck, word_text
 from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
-from .grid import Picture, parse_picture, picture_from_rows, sym, vcat
+from .grid import Picture, parse_picture, picture_from_rows, sym
 from .neutralize import _kahn, _rectangles
 from .wellnest import _well_nested
 
@@ -46,99 +46,142 @@ class Census:
 def classify(p: Picture) -> ClassFlags:
     """The four memberships in hierarchy order, each only inside the wider class.
 
-    All four come from one row and column matching.  DC: every cell is
-    matched.  DQ: every a closes a 4-cycle, so the rectangles cover the
-    cells.  DN: Kahn's order over the rectangles completes, which on DQ is
-    acyclicity of the precedence relation (the paper's theorem).  DW: the
-    picture is tiled by accretions (see in_DW).  in_DN gives traces.
+    One row and column matching (crossword._crossword_matching) decides DC:
+    every cell is matched.  _classify_matched reads the other three off it.
     """
     match = _crossword_matching(p)
     if match is None:
         return ClassFlags(in_dc=False, in_dq=False, in_dn=False, in_dw=False)
-    rects, owner = _rectangles(p, *match)
+    return _classify_matched(p, *match)
+
+
+def _classify_matched(p: Picture, row: dict[int, int], col: dict[int, int]) -> ClassFlags:
+    """The memberships of the crossword p, given its row and column matching.
+
+    DQ: every a closes a 4-cycle, so the rectangles cover the cells.  DN:
+    Kahn's order over the rectangles completes, which on DQ is acyclicity of
+    the precedence relation (the paper's theorem).  DW: the picture is tiled
+    by accretions (see in_DW).  in_DN gives traces.
+    """
+    rects, owner = _rectangles(p, row, col)
     dq = 4 * len(rects) == len(p.cells)
     dn = dq and len(_kahn(p, rects, owner)) == len(rects)
-    dw = dn and _well_nested(p, *match)
+    dw = dn and _well_nested(p, row, col)
     return ClassFlags(in_dc=True, in_dq=dq, in_dn=dn, in_dw=dw)
 
 
 def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:
-    """All crossword pictures of the given size, cell by cell with pruning.
+    """All crossword pictures of the given size, in lexicographic order.
 
-    Cells are filled in row-major order, letters tried in a < b < c < d with
-    indices ascending, so output order is lexicographic.  A partial row is
-    pruned when its stack is deeper than the remaining columns; a partial
-    column when its stack is deeper than the remaining rows.  Parity needs
-    no check: the sizes are even and each cell moves both stacks by one.
+    The pictures of _enumerate_matched; nothing for an odd or empty size.
+    """
+    for p, _, _ in _enumerate_matched(rows, cols, k):
+        yield p
+
+
+def _enumerate_matched(
+    rows: int, cols: int, k: int
+) -> Iterator[tuple[Picture, dict[int, int], dict[int, int]]]:
+    """Each crossword of the given size with its row and column matching.
+
+    Cells are filled in row-major order by an iterative search over an
+    explicit stack.  One row stack and one stack per column hold the flat
+    positions of open cells.  Whether a cell pushes or pops each stack fixes
+    its role:
+
+        row push, col push: a
+        row pop,  col push: b, when the row top is an a
+        row push, col pop:  c, when the column top is an a
+        row pop,  col pop:  d, when the row top is a c and the column top
+                            a b of the same index
+
+    A popping cell takes its top's index, so a cell has at most k + 3
+    options (a1..ak, b, c, d, tried in that order, which keeps the output
+    lexicographic), each checked in O(1).  A stack may be no deeper than the
+    cells left in its line.  Each pop records opener -> closer, so the two
+    dicts yielded equal crossword._crossword_matching(picture).
     """
     if rows % 2 or cols % 2 or rows <= 0 or cols <= 0:
         return
-    row_pr, col_pr = Pairing("Row", k), Pairing("Col", k)
-    alphabet = [sym(r, i) for r in "abcd" for i in range(1, k + 1)]
-    grid: list = []
-    row_stack: list = []
-    col_stacks: list[list] = [[] for _ in range(cols)]
-
-    def fill(i: int, j: int) -> Iterator[Picture]:
-        if j == cols:
-            if i + 1 == rows:
-                yield picture_from_rows(
-                    [grid[r * cols : (r + 1) * cols] for r in range(rows)], k
-                )
-            else:
-                yield from fill(i + 1, 0)
-            return
-        cols_left = cols - j - 1
-        rows_left = rows - i - 1
+    n = rows * cols
+    letters = [[sym(r, i) for i in range(1, k + 1)] for r in "abcd"]
+    a, b, c, d = range(4)  # bit 1: pops the row stack; bit 2: pops the column stack
+    # role and 0-based index per cell; position n is the bottom of every stack
+    role, index, tried = [-1] * (n + 1), [0] * (n + 1), [0] * n
+    grid: list = [None] * n
+    row_top, col_top = [0] * n, [0] * n  # the opener a popping cell closed
+    row: dict[int, int] = {}
+    col: dict[int, int] = {}
+    row_stack = [n]
+    col_stacks = [[n] for _ in range(cols)]
+    x, o = 0, 0  # the cell, and the first option left to try there
+    while True:
+        i, j = divmod(x, cols)
         col_stack = col_stacks[j]
-        for s in alphabet:
-            row_push = row_pr.is_open(s)
-            if not row_push and not (row_stack and row_pr.matches(row_stack[-1], s)):
-                continue
-            depth = len(row_stack) + (1 if row_push else -1)
-            if depth > cols_left:
-                continue
-            col_push = col_pr.is_open(s)
-            if not col_push and not (col_stack and col_pr.matches(col_stack[-1], s)):
-                continue
-            depth = len(col_stack) + (1 if col_push else -1)
-            if depth > rows_left:
-                continue
-            if row_push:
-                row_stack.append(s)
+        rt, ct = row_stack[-1], col_stack[-1]
+        row_room = len(row_stack) < cols - j  # one more push leaves the rest room to pop
+        col_room = len(col_stack) < rows - i
+        if o < k and row_room and col_room:
+            r, t, o = a, o, o + 1
+        elif o <= k and col_room and role[rt] == a:
+            r, t, o = b, index[rt], k + 1
+        elif o <= k + 1 and row_room and role[ct] == a:
+            r, t, o = c, index[ct], k + 2
+        elif o <= k + 2 and role[rt] == c and role[ct] == b and index[rt] == index[ct]:
+            r, t, o = d, index[rt], k + 3
+        else:
+            r = None
+        if r is not None:
+            role[x], index[x], tried[x], grid[x] = r, t, o, letters[r][t]
+            if r & 1:
+                row[rt], row_top[x] = x, row_stack.pop()
             else:
-                row_popped = row_stack.pop()
-            if col_push:
-                col_stack.append(s)
+                row_stack.append(x)
+            if r & 2:
+                col[ct], col_top[x] = x, col_stack.pop()
             else:
-                col_popped = col_stack.pop()
-            grid.append(s)
-            yield from fill(i, j + 1)
-            grid.pop()
-            if col_push:
-                col_stack.pop()
-            else:
-                col_stack.append(col_popped)
-            if row_push:
-                row_stack.pop()
-            else:
-                row_stack.append(row_popped)
-
-    yield from fill(0, 0)
+                col_stack.append(x)
+            if x + 1 < n:
+                x, o = x + 1, 0
+                continue
+            yield Picture(rows, cols, k, tuple(grid)), dict(row), dict(col)
+        elif x == 0:
+            return
+        else:
+            x -= 1
+        # undo the cell at x and resume its options
+        col_stack = col_stacks[x % cols]
+        if role[x] & 1:
+            del row[row_top[x]]
+            row_stack.append(row_top[x])
+        else:
+            row_stack.pop()
+        if role[x] & 2:
+            del col[col_top[x]]
+            col_stack.append(col_top[x])
+        else:
+            col_stack.pop()
+        o = tried[x]
 
 
 def census(
     rows: int, cols: int, k: int = 1, budget: int = DEFAULT_CENSUS_BUDGET
 ) -> Census:
-    """Classify every crossword of the given size."""
+    """Classify every crossword of the given size.
+
+    Each crossword comes from _enumerate_matched with its matching, so
+    _classify_matched decides it without matching it again.
+    """
+    if rows <= 0 or cols <= 0 or k < 1:
+        raise InvalidArgument("census needs positive sizes and k >= 1")
     if rows % 2 or cols % 2:
         raise InvalidArgument("census sizes must be even")
     if rows * cols > budget:
         raise BudgetExceeded(f"{rows}x{cols} exceeds the {budget}-cell budget")
     counts = {name: 0 for name in CLASS_NAMES}
     witnesses: dict[str, Picture] = {}
-    for p in enumerate_dc(rows, cols, k):
-        flags = classify(p)
+    for p, row, col in _enumerate_matched(rows, cols, k):
+        flags = _classify_matched(p, row, col)
         for name, member in zip(CLASS_NAMES, (flags.in_dc, flags.in_dq, flags.in_dn, flags.in_dw)):
             counts[name] += member
         for gap, hit in (
@@ -166,7 +209,7 @@ def embed_row(w: Word) -> Picture:
     and bdbd around a...b, aacc and bbdd around c...d).  So column t
     depends only on the letter w[t], and the picture is read off that table.
     """
-    if not w or not is_dyck(w, Pairing("Row", 1)) or not all(s in _EMBED_COLUMN for s in w):
+    if not w or not is_dyck(w, ROW) or not all(s in _EMBED_COLUMN for s in w):
         raise NotDyck(word_text(w))
     return picture_from_rows(zip(*(_EMBED_COLUMN[s] for s in w)))
 
@@ -177,27 +220,17 @@ _DOUBLE_NOOSE_BASE = "aaabbb\ncabdab\nacdbcd\ncccddd"
 def double_noose(h: int) -> Picture:
     """The (4h, 6) family whose longest circuit has length 4 + 8h.
 
-    Each step appends the base block underneath and relabels the four
-    junction cells so the two long circuits merge through a new rectangle.
+    h base blocks stacked, with the four junction cells of each seam
+    relabelled (a and b ending the upper block, c and d starting the lower)
+    so the two long circuits merge through a new rectangle.
     """
     if h < 1:
         raise InvalidArgument("h must be >= 1")
-    base = parse_picture(_DOUBLE_NOOSE_BASE)
-    p = base
-    for step in range(2, h + 1):
-        p = vcat(p, base)
-        cells = list(p.cells)
-        seam = 4 * (step - 1)  # last row of the previous block, 1-based
-
-        def put(i: int, j: int, role: str) -> None:
-            cells[(i - 1) * p.cols + (j - 1)] = sym(role, 1)
-
-        put(seam, 1, "a")
-        put(seam, 6, "b")
-        put(seam + 1, 1, "c")
-        put(seam + 1, 6, "d")
-        p = Picture(p.rows, p.cols, p.k, tuple(cells))
-    return p
+    cells = list(parse_picture(_DOUBLE_NOOSE_BASE).cells * h)
+    a, b, c, d = (sym(r, 1) for r in "abcd")
+    for x in range(18, 24 * (h - 1), 24):  # the last row of each block but the last
+        cells[x], cells[x + 5], cells[x + 6], cells[x + 11] = a, b, c, d
+    return Picture(4 * h, 6, 1, tuple(cells))
 
 
 def hamiltonian_search(

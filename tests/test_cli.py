@@ -104,6 +104,18 @@ class TestCensus:
         code = main(["census", "--rows", "8", "--cols", "8", "--budget", "36"])
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rows", "0", "--cols", "2"],
+            ["--rows", "-2", "--cols", "2"],
+            ["--rows", "2", "--cols", "2", "--k", "0"],
+        ],
+    )
+    def test_empty_or_negative(self, argv, capsys):
+        assert main(["census", *argv]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestFamilies:
     def test_double_noose(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +157,25 @@ class TestConcat:
             concat(parse_picture("ab\ncd"), parse_picture("ab"))
         with pytest.raises(SizeMismatch):
             concat(parse_picture("ab"), parse_picture("abab"), "vertical")
+
+    def test_many_parts(self):
+        p, q = parse_picture("ab\ncd"), parse_picture("a2 b2\nc2 d2", 2)
+        assert hcat() == empty_picture()
+        assert hcat(p, empty_picture(), q, p) == concat(concat(p, q), p)
+        assert vcat(q, p, empty_picture()) == concat(q, p, "vertical")
+        assert hcat(p, q).k == 2
+        with pytest.raises(SizeMismatch):
+            hcat(p, p, parse_picture("ab"))
+        with pytest.raises(SizeMismatch):
+            vcat(p, p, parse_picture("abab"))
+
+    def test_many_parts_in_one_pass(self):
+        block = parse_picture("ab\ncd")
+        start = time.perf_counter()
+        wide, tall = hcat(*[block] * 2400), vcat(*[block] * 2400)
+        assert time.perf_counter() - start < 0.5
+        assert (wide.rows, wide.cols, tall.rows, tall.cols) == (2, 4800, 4800, 2)
+        assert wide.row_word(2) == tuple(block.row_word(2)) * 2400
 
     @given(grids, grids, grids)
     def test_associative(self, m1, m2, m3):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from dyck2d.crossword import in_DC, picture_circuits
+from dyck2d.crossword import _crossword_matching, in_DC, picture_circuits
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word, word_text
-from dyck2d.errors import BudgetExceeded, ContainsNeutral, Dyck2dError, NotDyck
-from dyck2d.grid import hcat, parse_picture, render_picture
+from dyck2d.errors import BudgetExceeded, ContainsNeutral, Dyck2dError, InvalidArgument, NotDyck
+from dyck2d.grid import Picture, hcat, parse_picture, render_picture, sym, vcat
 from dyck2d.lab import (
     ClassFlags,
+    _enumerate_matched,
     census,
     classify,
     double_noose,
@@ -98,6 +100,44 @@ class TestEnumerateDC:
         for p in enumerate_dc(4, 4):
             assert in_DC(p)
 
+    # sha256 of render_picture(p) + "\n\n" over the stream, pinned from the
+    # recursive enumerator that tried all 4k symbols at every cell
+    @pytest.mark.parametrize(
+        "rows, cols, k, count, digest",
+        [
+            (6, 6, 1, 5403, "4c722b339317bfb69a77dde351c1de7dec1a6bb298def6a17ae0f97849727d23"),
+            (4, 8, 1, 1484, "2f225b891cb94eb9786f17c5d9bf9b85209295ef331597c4acf5efb5466b2fd4"),
+            (8, 4, 1, 1484, "add67c4323e4364551758f2359aee383713995dbe6f5434392ba72abb60c9a4d"),
+            (2, 10, 1, 42, "e831fce0070c2c1df0c9e81d08c5ca8d72cb48ff63f0140b0bed5ae54ac078a1"),
+            (2, 8, 2, 224, "e394a670cb8993eeaa18a25037660256f9c7fa1f16a404f93ab2642b63867860"),
+            (4, 4, 2, 196, "d847621aa1b83d667d3b5078d26c97319361dd643ea12baddb881a9ee153283e"),
+            (4, 4, 3, 981, "1055d5a7c7a5003d241c12c3805c9878e623e53b19bd6a4c0a991cbdc116de98"),
+            (2, 6, 3, 135, "664c6b5b9513cf2ecae3dc4e23d0d1e9766cf66ff2308e01dc4b92f6fb895694"),
+            (4, 2, 3, 18, "603fc7814a2a6f289fe40feef967b884d59ad83d50f268cc8062a5311256af9b"),
+        ],
+    )
+    def test_stream_is_pinned(self, rows, cols, k, count, digest):
+        h, n = hashlib.sha256(), 0
+        for p in enumerate_dc(rows, cols, k):
+            h.update((render_picture(p) + "\n\n").encode())
+            n += 1
+        assert (n, h.hexdigest()) == (count, digest)
+
+    @pytest.mark.parametrize("rows, cols, k", [(6, 6, 1), (4, 4, 2), (2, 6, 3)])
+    def test_matching_handed_over(self, rows, cols, k):
+        for p, row, col in _enumerate_matched(rows, cols, k):
+            assert (row, col) == _crossword_matching(p), render_picture(p)
+
+    def test_long_row_needs_no_recursion(self):
+        p = next(enumerate_dc(2, 2400))
+        assert render_picture(p) == "a" * 1200 + "b" * 1200 + "\n" + "c" * 1200 + "d" * 1200
+
+    def test_linear_in_k(self):
+        start = time.perf_counter()
+        found = list(enumerate_dc(2, 2, 2000))
+        assert time.perf_counter() - start < 1.0
+        assert len(found) == 2000
+
 
 class TestCensus:
     def test_2x2(self):
@@ -121,6 +161,12 @@ class TestCensus:
             (2, 6, 2, (40, 40, 40, 8)),
             (4, 4, 2, (196, 192, 192, 32)),
             (6, 6, 1, (5403, 3547, 3545, 21)),
+            (4, 8, 1, (1484, 1084, 1084, 14)),
+            (8, 4, 1, (1484, 1084, 1084, 14)),
+            (2, 10, 1, (42, 42, 42, 1)),
+            (2, 8, 2, (224, 224, 224, 16)),
+            (4, 4, 3, (981, 972, 972, 162)),
+            (2, 6, 3, (135, 135, 135, 27)),
         ],
     )
     def test_golden_counts(self, rows, cols, k, counts):
@@ -152,6 +198,11 @@ class TestCensus:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             census(3, 4)
+
+    @pytest.mark.parametrize("rows, cols, k", [(0, 2, 1), (2, 0, 1), (-2, 2, 1), (2, -2, 1), (2, 2, 0)])
+    def test_empty_or_negative_rejected(self, rows, cols, k):
+        with pytest.raises(InvalidArgument):
+            census(rows, cols, k=k)
 
 
 class TestEmbedRow:
@@ -189,6 +240,26 @@ class TestDoubleNoose:
         assert render_picture(double_noose(2)) == (
             "aaabbb\ncabdab\nacdbcd\naccddb\ncaabbd\ncabdab\nacdbcd\ncccddd"
         )
+
+    def test_matches_fold_of_vcat(self, fx):
+        def put(p, i, j, role):
+            cells = list(p.cells)
+            cells[(i - 1) * p.cols + (j - 1)] = sym(role, 1)
+            return Picture(p.rows, p.cols, p.k, tuple(cells))
+
+        p = base = fx["fig4_left"]
+        for h in range(1, 41):
+            if h > 1:
+                p, seam = vcat(p, base), 4 * (h - 1)
+                p = put(put(p, seam, 1, "a"), seam, 6, "b")
+                p = put(put(p, seam + 1, 1, "c"), seam + 1, 6, "d")
+            assert render_picture(double_noose(h)) == render_picture(p), h
+
+    def test_scale(self):
+        start = time.perf_counter()
+        p = double_noose(2000)
+        assert time.perf_counter() - start < 1.0
+        assert (p.rows, p.cols) == (8000, 6)
 
     def test_sizes_and_longest_circuit(self):
         for h in range(1, 5):
