@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .dyck1d import _COL_CLOSE, _ROW_CLOSE
 from .errors import ContainsNeutral, DegreeViolation, NotInDC
@@ -13,6 +14,7 @@ Pos = tuple[int, int]
 Edge = tuple[Pos, Pos]
 
 _CIRCUIT_ROLE_ORDER = "abdc"
+_ROLE, _INDEX = attrgetter("role"), attrgetter("index")
 
 _PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -55,7 +57,7 @@ class Circuit:
 
 
 def _require_corners(p: Picture) -> None:
-    if any(not s.is_corner for s in p.cells):
+    if any(s.index is None for s in p.cells):  # only N and the bullet carry no index
         raise ContainsNeutral("crossword membership is defined over corner symbols")
 
 
@@ -111,123 +113,216 @@ def in_DC(p: Picture) -> bool:
     return _crossword_matching(p) is not None
 
 
-def matching_graph(p: Picture) -> MatchingGraph:
+def _positions(rows: int, cols: int) -> list[Pos]:
+    """The 1-based (i, j) of each flat position x = (i - 1) * cols + j - 1, in row-major order."""
+    return [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+
+
+def _match_or_raise(p: Picture) -> tuple[dict[int, int], dict[int, int]]:
     match = _crossword_matching(p)
     if match is None:
         raise NotInDC("matching graph needs a crossword picture")
+    return match
 
-    def pos(x: int) -> Pos:
-        return (x // p.cols + 1, x % p.cols + 1)
 
-    row_edges, col_edges = (frozenset((pos(x), pos(y)) for x, y in m.items()) for m in match)
+def matching_graph(p: Picture) -> MatchingGraph:
+    """The row and column match edges of a crossword; NotInDC off crosswords."""
+    at = _positions(p.rows, p.cols).__getitem__
+    row_edges, col_edges = (
+        frozenset(zip(map(at, m), map(at, m.values()))) for m in _match_or_raise(p)
+    )
     return MatchingGraph(p.rows, p.cols, row_edges, col_edges, p)
 
 
-def _partner_maps(g: MatchingGraph) -> tuple[dict[Pos, Pos], dict[Pos, Pos]]:
-    row_of: dict[Pos, Pos] = {}
-    col_of: dict[Pos, Pos] = {}
-    for edges, partner, kind in ((g.row_edges, row_of, "row"), (g.col_edges, col_of, "column")):
-        for u, v in edges:
-            for x, y in ((u, v), (v, u)):
-                if x in partner:
-                    raise DegreeViolation(f"two {kind} edges at {x}")
-                partner[x] = y
-    nodes = {(i, j) for i in range(1, g.rows + 1) for j in range(1, g.cols + 1)}
-    if set(row_of) != nodes or set(col_of) != nodes:
-        raise DegreeViolation("node without both a row and a column edge")
-    return row_of, col_of
+def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, dict]:
+    """The 4-cycles a -> b -> d -> c of the row and column matchings.
 
-
-def circuits(g: MatchingGraph) -> list[Circuit]:
-    """Partition of the grid into simple circuits.
-
-    Each circuit starts at its lexicographically smallest a-labeled node and
-    follows the row edge first, so labels always read (a b d c)^+.
+    Each is a (left, top, right, bottom, index, id) tuple, 1-based, with id its
+    place in the list; the dict maps each corner's flat position to that id.
     """
-    row_of, col_of = _partner_maps(g)
-    seen: set[Pos] = set()
-    out: list[Circuit] = []
-    for i in range(1, g.rows + 1):
-        for j in range(1, g.cols + 1):
-            start = (i, j)
-            if start in seen or g.label(start).role != "a":
-                continue
-            nodes = []
-            pos, use_row = start, True
-            while True:
-                nodes.append(pos)
-                seen.add(pos)
-                pos = (row_of if use_row else col_of)[pos]
-                use_row = not use_row
-                if pos == start:
-                    break
-                if pos in seen:
-                    raise DegreeViolation(f"circuit through {pos} is not simple")
-            labels = tuple(g.label(n) for n in nodes)
-            if len(nodes) % 4:
-                raise DegreeViolation(f"circuit length {len(nodes)} not divisible by 4")
-            index = labels[0].index
-            expected = [_CIRCUIT_ROLE_ORDER[t % 4] for t in range(len(nodes))]
-            if [s.role for s in labels] != expected or any(s.index != index for s in labels):
-                raise DegreeViolation(f"circuit labels {labels} violate the (abdc)+ law")
-            out.append(Circuit(tuple(nodes), labels))
-    if len(seen) != g.rows * g.cols:
+    cells, cols = p.cells, p.cols
+    rects, owner = [], {}
+    for a, b in row.items():
+        d = col.get(b)
+        if cells[a].role == "a" and d is not None and row.get(col.get(a)) == d:
+            (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
+            for x in (a, b, col[a], d):
+                owner[x] = len(rects)
+            rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, len(rects)))
+    return rects, owner
+
+
+def _flat_partners(n: int, match: dict[int, int]) -> list[int]:
+    """The opener -> closer dict of a matching as a list that maps both ways."""
+    partner = [0] * n
+    for x, y in match.items():
+        partner[x] = y
+        partner[y] = x
+    return partner
+
+
+def _graph_partners(g: MatchingGraph) -> tuple[list[int], list[int]]:
+    """The row and the column partner of each flat position of g's grid.
+
+    Raises DegreeViolation unless every node of the grid has exactly one row
+    edge and one column edge and no edge leaves the grid.  The first node met
+    twice, in the order of the edge sets, is the one named.
+    """
+    rows, cols, n = g.rows, g.cols, g.rows * g.cols
+    out, outside = [], False
+    for edges, kind in ((g.row_edges, "row"), (g.col_edges, "column")):
+        partner: list = [None] * n
+        slot: dict[Pos, int] = {}  # the nodes off the grid, at places past its n cells
+        for u, v in edges:
+            (i, j), (k, l) = u, v
+            if 0 < i <= rows and 0 < j <= cols and 0 < k <= rows and 0 < l <= cols:
+                x, y = (i - 1) * cols + j - 1, (k - 1) * cols + l - 1
+            else:
+                x, y = (
+                    (r - 1) * cols + c - 1 if 0 < r <= rows and 0 < c <= cols
+                    else slot.setdefault((r, c), n + len(slot))
+                    for r, c in (u, v)
+                )
+                partner += [None] * (n + len(slot) - len(partner))
+            if partner[x] is not None:
+                raise DegreeViolation(f"two {kind} edges at {u}")
+            partner[x] = y
+            if partner[y] is not None:
+                raise DegreeViolation(f"two {kind} edges at {v}")
+            partner[y] = x
+        outside = outside or bool(slot)
+        out.append(partner)
+    if outside or None in out[0] or None in out[1]:
+        raise DegreeViolation("node without both a row and a column edge")
+    return out[0], out[1]
+
+
+def _walk(cells: tuple, cols: int, row_of: list[int], col_of: list[int]) -> list[list[int]]:
+    """The circuits of two partner lists, as flat positions.
+
+    A circuit starts at each a not yet seen, in row-major order, and follows
+    the row partner first, so the circuits come out sorted by their start.
+    Raises DegreeViolation unless the circuits partition the cells and each
+    reads (a b d c)^+ with one index.
+    """
+    seen = bytearray(len(cells))
+    out = []
+    for start, s in enumerate(cells):
+        if seen[start] or s.role != "a":
+            continue
+        nodes, x, partner = [], start, row_of
+        while True:
+            nodes.append(x)
+            seen[x] = 1
+            x = partner[x]
+            partner = col_of if partner is row_of else row_of
+            if x == start:
+                break
+            if seen[x]:
+                pos = (x // cols + 1, x % cols + 1)
+                raise DegreeViolation(f"circuit through {pos} is not simple")
+        if len(nodes) % 4:
+            raise DegreeViolation(f"circuit length {len(nodes)} not divisible by 4")
+        labels = list(map(cells.__getitem__, nodes))
+        roles, indices = "".join(map(_ROLE, labels)), set(map(_INDEX, labels))
+        if roles != _CIRCUIT_ROLE_ORDER * (len(nodes) // 4) or indices != {s.index}:
+            raise DegreeViolation(f"circuit labels {tuple(labels)} violate the (abdc)+ law")
+        out.append(nodes)
+    if seen.count(1) != len(cells):
         raise DegreeViolation("some node lies on no circuit")
-    out.sort(key=lambda c: c.northwest)
     return out
 
 
+def _circuit(nodes: list[int], table: list[Pos], cells: tuple) -> Circuit:
+    return Circuit(tuple([table[x] for x in nodes]), tuple([cells[x] for x in nodes]))
+
+
+def circuits(g: MatchingGraph) -> list[Circuit]:
+    """Partition of the grid into simple circuits, sorted by their start.
+
+    Each circuit starts at its lexicographically smallest a-labeled node and
+    follows the row edge first, so labels always read (a b d c)^+.  The edge
+    sets become one row and one column partner list over flat positions,
+    checked for one row and one column edge per node (DegreeViolation), and
+    one walk over those lists yields the circuits.
+    """
+    cells, table = g.picture.cells, _positions(g.rows, g.cols)
+    return [_circuit(c, table, cells) for c in _walk(cells, g.cols, *_graph_partners(g))]
+
+
+def _picture_walk(p: Picture, row: dict[int, int], col: dict[int, int]) -> list[list[int]]:
+    """The circuits of a crossword, as flat positions, from its row and column matching."""
+    n = len(p.cells)
+    return _walk(p.cells, p.cols, _flat_partners(n, row), _flat_partners(n, col))
+
+
 def picture_circuits(p: Picture) -> list[Circuit]:
-    return circuits(matching_graph(p))
+    """circuits(matching_graph(p)), walked off the flat matching with no graph built.
+
+    NotInDC off crosswords, ContainsNeutral on a neutral or bullet cell.
+    """
+    table = _positions(p.rows, p.cols)
+    return [_circuit(c, table, p.cells) for c in _picture_walk(p, *_match_or_raise(p))]
 
 
 def is_quaternate(p: Picture) -> bool:
-    """Whether all matching-graph circuits have length 4; NotInDC off crosswords."""
-    return all(c.length == 4 for c in picture_circuits(p))
+    """Whether all matching-graph circuits have length 4; NotInDC off crosswords.
+
+    Every circuit has length 4 exactly when the rectangles of the matching
+    cover the cells.
+    """
+    return 4 * len(_rectangles(p, *_match_or_raise(p))[0]) == len(p.cells)
+
+
+def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[str], list[list[int]]]:
+    """Per flat position its node, label text and circuit colour, and the circuits."""
+    cells, table = g.picture.cells, _positions(g.rows, g.cols)
+    circs = _walk(cells, g.cols, *_graph_partners(g))
+    color = [""] * len(cells)
+    for n, c in enumerate(circs):
+        for x in c:
+            color[x] = _PALETTE[n % len(_PALETTE)]
+    ids = list(map(id, cells))  # by identity: Symbol's dataclass __hash__ runs in Python
+    text = {i: s.text(g.picture.k) for i, s in dict(zip(ids, cells)).items()}
+    return table, list(map(text.__getitem__, ids)), color, circs
 
 
 def graph_to_dot(g: MatchingGraph) -> str:
-    """DOT export: row edges solid, column edges dashed, one color per circuit."""
-    circs = circuits(g)
-    color_of_node: dict[Pos, str] = {}
-    for n, c in enumerate(circs):
-        for pos in c.nodes:
-            color_of_node[pos] = _PALETTE[n % len(_PALETTE)]
+    """DOT export: row edges solid, column edges dashed, one color per circuit.
+
+    Nodes come in row-major order and edges sorted; DegreeViolation as for circuits.
+    """
+    table, labels, color, _ = _export_parts(g)
+    cols = g.cols
     lines = ["graph matching {", "  node [shape=circle];"]
-    for i in range(1, g.rows + 1):
-        for j in range(1, g.cols + 1):
-            label = g.label((i, j)).text(g.picture.k)
-            lines.append(
-                f'  "{i},{j}" [label="{label}", color="{color_of_node[(i, j)]}"];'
-            )
-    for (u, v) in sorted(g.row_edges):
-        lines.append(
+    lines += [
+        f'  "{i},{j}" [label="{label}", color="{c}"];'
+        for (i, j), label, c in zip(table, labels, color)
+    ]
+    for edges, style in ((g.row_edges, "solid"), (g.col_edges, "dashed")):
+        lines += [
             f'  "{u[0]},{u[1]}" -- "{v[0]},{v[1]}"'
-            f' [style=solid, color="{color_of_node[u]}"];'
-        )
-    for (u, v) in sorted(g.col_edges):
-        lines.append(
-            f'  "{u[0]},{u[1]}" -- "{v[0]},{v[1]}"'
-            f' [style=dashed, color="{color_of_node[u]}"];'
-        )
+            f' [style={style}, color="{color[(u[0] - 1) * cols + u[1] - 1]}"];'
+            for u, v in sorted(edges)
+        ]
     lines.append("}")
     return "\n".join(lines)
 
 
 def graph_to_json(g: MatchingGraph) -> str:
-    circs = circuits(g)
+    """JSON export: nodes in row-major order, sorted edges, circuits sorted by start.
+
+    DegreeViolation as for circuits.
+    """
+    table, labels, _, circs = _export_parts(g)
     obj = {
         "rows": g.rows,
         "cols": g.cols,
-        "nodes": [
-            [i, j, g.label((i, j)).text(g.picture.k)]
-            for i in range(1, g.rows + 1)
-            for j in range(1, g.cols + 1)
-        ],
-        "row_edges": sorted([list(u), list(v)] for u, v in g.row_edges),
-        "col_edges": sorted([list(u), list(v)] for u, v in g.col_edges),
+        "nodes": [(i, j, label) for (i, j), label in zip(table, labels)],
+        "row_edges": sorted(g.row_edges),
+        "col_edges": sorted(g.col_edges),
         "circuits": [
-            {"nodes": [list(n) for n in c.nodes], "label": c.label_text}
+            {"nodes": [table[x] for x in c], "label": _CIRCUIT_ROLE_ORDER * (len(c) // 4)}
             for c in circs
         ],
     }

@@ -111,7 +111,7 @@ class Picture:
         if len(self.cells) != self.rows * self.cols:
             raise ValueError("cells length must be rows * cols")
         for s in self.cells:
-            if s.is_corner and s.index > self.k:
+            if s.index is not None and s.index > self.k:
                 raise IndexOutOfRange(f"index {s.index} > k={self.k}")
 
     @property
@@ -147,7 +147,7 @@ def picture_from_rows(rows: Iterable[Iterable[Symbol]], k: int = 1) -> Picture:
     width = len(mat[0])
     if any(len(r) != width for r in mat):
         raise RaggedRows("rows of unequal length")
-    return Picture(len(mat), width, k, tuple(s for r in mat for s in r))
+    return Picture(len(mat), width, k, tuple(chain.from_iterable(mat)))
 
 
 def _parse_token(tok: str, k: int) -> Symbol:
@@ -171,24 +171,40 @@ def _parse_token(tok: str, k: int) -> Symbol:
     return sym(role, index)
 
 
+_SYMBOL_OF_CHAR = {
+    **{ch: sym(_ROLE_OF_GLYPH.get(ch, ch), 1) for ch in (*CORNER_ROLES, *_ROLE_OF_GLYPH)},
+    NEUTRAL: N,
+    BULLET: BULLET_SYM,
+    "*": BULLET_SYM,
+}
+
+
+def _parse_row(toks: Iterable[str], k: int) -> list[Symbol]:
+    if k == 1:
+        try:
+            return [_SYMBOL_OF_CHAR[t] for t in toks]
+        except KeyError:
+            pass
+    return [_parse_token(t, k) for t in toks]
+
+
 def parse_picture(text: str, k: int = 1) -> Picture:
     """Parse picture text: one line per row.
 
     For k=1 each cell is a single character (a|b|c|d|N, corner glyphs and
     "*"/"•" accepted); for k>1 cells are whitespace-separated tokens like "a2".
+    At k=1 each token is looked up in one table of those characters; any
+    other token goes through _parse_token, which raises UnknownToken or
+    IndexOutOfRange on a bad one.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return empty_picture(k)
     rows = []
     for ln in lines:
-        if any(ch.isspace() for ch in ln.strip()):
-            toks = ln.split()
-        elif k == 1:
-            toks = list(ln.strip())
-        else:
-            toks = [ln.strip()]
-        rows.append([_parse_token(t, k) for t in toks])
+        toks = ln.split()
+        # at k=1 a line with no inner whitespace is one cell per character
+        rows.append(_parse_row(toks[0] if len(toks) == 1 and k == 1 else toks, k))
     if len({len(r) for r in rows}) != 1:
         raise RaggedRows("lines of unequal length")
     return picture_from_rows(rows, k)

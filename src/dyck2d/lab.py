@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
-from .crossword import _crossword_matching, picture_circuits
+from .crossword import _crossword_matching, _picture_walk, _rectangles
 from .dyck1d import ROW, Word, is_dyck, word_text
 from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
 from .grid import Picture, parse_picture, picture_from_rows, sym
-from .neutralize import _kahn, _rectangles
+from .neutralize import _kahn
 from .wellnest import _well_nested
 
 DEFAULT_CENSUS_BUDGET = 36
@@ -215,6 +215,7 @@ def embed_row(w: Word) -> Picture:
 
 
 _DOUBLE_NOOSE_BASE = "aaabbb\ncabdab\nacdbcd\ncccddd"
+_DOUBLE_NOOSE_MAX_CELLS = 10**6
 
 
 def double_noose(h: int) -> Picture:
@@ -222,10 +223,13 @@ def double_noose(h: int) -> Picture:
 
     h base blocks stacked, with the four junction cells of each seam
     relabelled (a and b ending the upper block, c and d starting the lower)
-    so the two long circuits merge through a new rectangle.
+    so the two long circuits merge through a new rectangle.  BudgetExceeded,
+    before anything is allocated, past 10**6 cells (h > 41666).
     """
     if h < 1:
         raise InvalidArgument("h must be >= 1")
+    if 24 * h > _DOUBLE_NOOSE_MAX_CELLS:
+        raise BudgetExceeded(f"h={h} exceeds the {_DOUBLE_NOOSE_MAX_CELLS}-cell budget")
     cells = list(parse_picture(_DOUBLE_NOOSE_BASE).cells * h)
     a, b, c, d = (sym(r, 1) for r in "abcd")
     for x in range(18, 24 * (h - 1), 24):  # the last row of each block but the last
@@ -236,14 +240,18 @@ def double_noose(h: int) -> Picture:
 def hamiltonian_search(
     max_rows: int, max_cols: int, k: int = 1, budget: int = DEFAULT_CENSUS_BUDGET
 ) -> list[Picture]:
-    """Crossword pictures within bounds whose matching graph is one circuit."""
+    """Crossword pictures within bounds whose matching graph is one circuit.
+
+    Each crossword comes from _enumerate_matched with its matching, and its
+    circuits are walked off that matching, with no matching graph built.
+    """
     if max_rows * max_cols > budget:
         raise BudgetExceeded(f"{max_rows}x{max_cols} exceeds the {budget}-cell budget")
     found = []
     for rows in range(2, max_rows + 1, 2):
         for cols in range(2, max_cols + 1, 2):
-            for p in enumerate_dc(rows, cols, k):
-                if len(picture_circuits(p)) == 1:
+            for p, row, col in _enumerate_matched(rows, cols, k):
+                if len(_picture_walk(p, row, col)) == 1:
                     found.append(p)
     return found
 

@@ -7,7 +7,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .crossword import Circuit, _matching, picture_circuits
+from .crossword import Circuit, _matching, _rectangles, picture_circuits
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
 from .grid import NEUTRAL, Domain, N, Picture
 
@@ -65,24 +65,6 @@ def apply_step(p: Picture, r: Redex) -> Picture:
 def _redex(rect: tuple) -> Redex:
     left, top, right, bottom, index, _ = rect
     return Redex(Domain(top, left, bottom, right), index)
-
-
-def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, dict]:
-    """The 4-cycles a -> b -> d -> c of the row and column matchings.
-
-    Each is a (left, top, right, bottom, index, id) tuple, 1-based, with id its
-    place in the list; the dict maps each corner's flat position to that id.
-    """
-    cells, cols = p.cells, p.cols
-    rects, owner = [], {}
-    for a, b in row.items():
-        d = col.get(b)
-        if cells[a].role == "a" and d is not None and row.get(col.get(a)) == d:
-            (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
-            for x in (a, b, col[a], d):
-                owner[x] = len(rects)
-            rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, len(rects)))
-    return rects, owner
 
 
 def _deps(p: Picture, rects: list, owner: dict) -> list[set]:

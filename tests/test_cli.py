@@ -126,6 +126,10 @@ class TestFamilies:
         assert main(["family", "--double-noose", "0"]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_double_noose_over_budget(self, capsys):
+        assert main(["family", "--double-noose", "100000000"]) == EXIT_INPUT_ERROR
+        assert "cell budget" in capsys.readouterr().err
+
     def test_embed_row(self, capsys):
         assert main(["embed-row", "abcd"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "abab\ncdab\nabcd\ncdcd"

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
 from dyck2d.crossword import (
+    MatchingGraph,
     circuits,
     graph_to_dot,
     graph_to_json,
@@ -12,9 +14,9 @@ from dyck2d.crossword import (
     matching_graph,
     picture_circuits,
 )
-from dyck2d.errors import ContainsNeutral, NotInDC
+from dyck2d.errors import ContainsNeutral, DegreeViolation, NotInDC
 from dyck2d.grid import parse_picture
-from dyck2d.lab import enumerate_dc
+from dyck2d.lab import double_noose, enumerate_dc
 
 from oracles import oracle_circuits, oracle_in_dc, oracle_is_quaternate
 
@@ -27,6 +29,11 @@ def small_dc_pictures():
 
 
 SMALL_DC = small_dc_pictures()
+K2_DC = [
+    p
+    for rows, cols in ((2, 2), (2, 4), (4, 2), (4, 4))
+    for p in enumerate_dc(rows, cols, k=2)
+]
 
 
 class TestInDC:
@@ -131,6 +138,44 @@ class TestCircuits:
         assert lengths(fx["fig4_left"]) == [4, 4, 4, 12]
 
 
+class TestDegreeViolation:
+    """The matching-graph laws circuits checks on hand-built graphs over ab/cd."""
+
+    ROW = frozenset({((1, 1), (1, 2)), ((2, 1), (2, 2))})
+    COL = frozenset({((1, 1), (2, 1)), ((1, 2), (2, 2))})
+
+    def graph(self, row_edges, col_edges, text="ab\ncd"):
+        return MatchingGraph(2, 2, row_edges, col_edges, parse_picture(text))
+
+    def test_well_formed(self):
+        assert [c.label_text for c in circuits(self.graph(self.ROW, self.COL))] == ["abdc"]
+
+    def test_extra_row_edge(self):
+        with pytest.raises(DegreeViolation, match=r"^two row edges at \(1, 1\)$"):
+            circuits(self.graph(self.ROW | {((1, 1), (1, 1))}, self.COL))
+
+    def test_missing_column_edge(self):
+        with pytest.raises(DegreeViolation, match="^node without both a row and a column edge$"):
+            circuits(self.graph(self.ROW, self.COL - {((1, 2), (2, 2))}))
+
+    def test_node_outside_the_grid(self):
+        col = self.COL - {((1, 2), (2, 2))} | {((1, 2), (3, 2))}
+        with pytest.raises(DegreeViolation, match="^node without both a row and a column edge$"):
+            circuits(self.graph(self.ROW, col))
+
+    def test_labels_break_the_abdc_law(self):
+        with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):
+            circuits(self.graph(self.ROW, self.COL, "ab\ndc"))
+
+    def test_circuit_of_length_two(self):
+        with pytest.raises(DegreeViolation, match="^circuit length 2 not divisible by 4$"):
+            circuits(self.graph(self.ROW, self.ROW))
+
+    def test_node_on_no_circuit(self):
+        with pytest.raises(DegreeViolation, match="^some node lies on no circuit$"):
+            circuits(self.graph(self.ROW, self.COL, "dd\ndd"))
+
+
 class TestQuaternate:
     def test_fixtures(self, fx):
         assert is_quaternate(fx["fig1_left"])
@@ -141,7 +186,7 @@ class TestQuaternate:
         assert not is_quaternate(fx["fig3_right"])
 
     def test_matches_oracle(self):
-        for p in SMALL_DC:
+        for p in SMALL_DC + K2_DC:
             assert is_quaternate(p) == oracle_is_quaternate(p)
 
     def test_requires_crossword(self):
@@ -174,3 +219,16 @@ class TestExports:
             if "color=" in line
         }
         assert len(colors) == len(picture_circuits(p))
+
+    def test_golden_digest(self, fx):
+        """DOT and JSON of the fixtures, the double nooses h = 1..30 and a k = 2 picture."""
+        pictures = [fx[name] for name in sorted(fx) if name != "fig1_mid"]
+        pictures += [double_noose(h) for h in range(1, 31)]
+        pictures.append(parse_picture("a2 a1 b1 b2\nc2 c1 d1 d2", 2))
+        digest = hashlib.sha256()
+        for p in pictures:
+            g = matching_graph(p)
+            digest.update((graph_to_dot(g) + "\n" + graph_to_json(g) + "\n").encode())
+        assert digest.hexdigest() == (
+            "2eef5c2c60a4c66ec886984a7c71e6ae56f6d83d0c41da7f606e0940ef13ec70"
+        )

@@ -261,6 +261,15 @@ class TestDoubleNoose:
         assert time.perf_counter() - start < 1.0
         assert (p.rows, p.cols) == (8000, 6)
 
+    def test_cell_budget(self):
+        assert double_noose(41666).rows == 4 * 41666
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            double_noose(100_000_000)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(BudgetExceeded):
+            double_noose(41667)
+
     def test_sizes_and_longest_circuit(self):
         for h in range(1, 5):
             p = double_noose(h)
