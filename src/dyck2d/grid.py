@@ -161,7 +161,7 @@ def _parse_token(tok: str, k: int) -> Symbol:
     if role not in CORNER_ROLES:
         raise UnknownToken(f"unknown token {tok!r}")
     if rest:
-        if not rest.isdigit():
+        if not (rest.isascii() and rest.isdecimal()):
             raise UnknownToken(f"unknown token {tok!r}")
         index = int(rest)
     else:

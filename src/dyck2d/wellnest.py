@@ -112,36 +112,37 @@ def _well_nested(
     partition that is itself partitioned can be replaced by its parts.  The
     top-left corner of an accretion is an a whose row and column partners are
     its top-right and bottom-left corners, so the only tile anchored at a
-    cell is that cell's box, and the cover never backtracks.  Boxes are
-    decided smallest first, each by its frame and a cover of its core by the
-    accretions already found.  Those are the memo: keyed by domain, it lives
-    for this call.
+    cell is that cell's box, and the cover never backtracks.  Regions are
+    decided top-down from a worklist: each is tiled by framed boxes, the core
+    of every tile larger than 2x2 is pushed, and the first region with no
+    such tiling decides False.
     """
-    cols = p.cols
-    boxes = [
-        Domain(a // cols + 1, a % cols + 1, col[a] // cols + 1, b % cols + 1)
-        for a, b in row.items()
-        if p.cells[a].role == "a"
-    ]
-    accretions: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    reach = lambda i, j: accretions.get((i, j))
-    tile = lambda d: True
-    for d in sorted(boxes, key=lambda d: d.rows * d.cols):
-        if _is_frame(p, d, mixed_border_indices) and (
-            d.rows == 2
-            or _exact_cover(Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1), reach, tile)
-        ):
-            accretions[(d.top, d.left)] = (d.bottom, d.right, d.bottom, d.right)
-    return _exact_cover(p.full_domain(), reach, tile) is not None
+    cells, cols = p.cells, p.cols
+
+    def reach(i: int, j: int) -> tuple[int, int, int, int] | None:
+        a = (i - 1) * cols + j - 1
+        if cells[a].role != "a":
+            return None
+        bottom, right = col[a] // cols + 1, row[a] % cols + 1
+        return bottom, right, bottom, right
+
+    regions = [p.full_domain()]
+    while regions:
+        tiles = _exact_cover(regions.pop(), reach, lambda d: _is_frame(p, d, mixed_border_indices))
+        if tiles is None:
+            return False
+        regions += (Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2)
+    return True
 
 
 def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
-    """Least-fixpoint decision for the well-nested Dyck language.
+    """Membership in the well-nested Dyck language, decided top-down.
 
     p is well-nested iff it is empty, or it is the nesting accretion of a
     well-nested core (the frame determines the border words uniquely), or it
-    partitions into at least two well-nested subpictures.  Only crosswords
-    qualify; a picture with a neutral or bullet cell is not well-nested.
+    partitions into at least two well-nested subpictures.  On a crossword the
+    tiling is forced, since each a anchors one box; see _well_nested.  A
+    picture with a neutral or bullet cell is not well-nested.
     """
     if p.is_empty:
         return True

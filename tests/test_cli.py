@@ -43,6 +43,11 @@ class TestClassify:
         assert main(["classify", str(path)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_ascii_index(self, tmp_path, capsys):
+        path = write(tmp_path, "a\u00b2 b1\nc1 d1")
+        assert main(["classify", "--k", "2", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_k2(self, tmp_path, capsys):
         path = write(tmp_path, "a2 b2\nc2 d2")
         assert main(["classify", "--k", "2", path]) == EXIT_OK

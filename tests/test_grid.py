@@ -99,6 +99,12 @@ class TestParseRender:
         with pytest.raises(UnknownToken):
             parse_picture("ax\nbd")
 
+    @pytest.mark.parametrize("token", ["a\u00b2", "a\u0662", "a\uff12"])
+    def test_non_ascii_index(self, token):
+        # superscript, Arabic-Indic and fullwidth two: only ASCII digits index a symbol
+        with pytest.raises(UnknownToken):
+            parse_picture(f"{token} b1\nc1 d1", k=2)
+
     def test_empty_text(self):
         assert parse_picture("  \n ").is_empty
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,7 @@ from dyck2d.crossword import in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
 from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from dyck2d import wellnest
-from dyck2d.grid import empty_picture, hcat, parse_picture, render_picture
+from dyck2d.grid import empty_picture, hcat, parse_picture, picture_from_rows, render_picture, vcat
 from dyck2d.lab import census, enumerate_dc
 from dyck2d.wellnest import (
     Accretion,
@@ -18,6 +22,29 @@ from dyck2d.wellnest import (
 )
 
 from oracles import oracle_dw_set
+
+
+def pinwheel(north, east, south, west):
+    """10x10 picture of four tiles (4x6, 6x4, 4x6, 6x4) turning around a central ab/cd.
+
+    No straight cut crosses it: every line through the picture runs into a tile.
+    """
+    grid = [[None] * 10 for _ in range(10)]
+    placed = ((north, 0, 0), (east, 0, 6), (south, 6, 4), (west, 4, 0), (parse_picture("ab\ncd"), 4, 4))
+    for tile, top, left in placed:
+        for r in range(tile.rows):
+            for c in range(tile.cols):
+                grid[top + r][left + c] = tile.cell(r + 1, c + 1)
+    return picture_from_rows(grid)
+
+
+def deep_nest(depth):
+    """nesting_accretion applied depth times to ab/cd, with abab... and acac... borders."""
+    p = parse_picture("ab\ncd")
+    for _ in range(depth):
+        w_r, w_c = parse_word("ab" * (p.cols // 2)), parse_word("ac" * (p.rows // 2))
+        p = nesting_accretion(Accretion(1, w_r, w_c, p))
+    return p
 
 
 def dyck_over(n, roles, kind):
@@ -146,6 +173,48 @@ class TestInDW:
             for p in enumerate_dc(rows, cols):
                 assert in_DW(p) == ((p.rows, p.cols, p.cells) in oracle), render_picture(p)
 
+    # in_DW / in_DW(mixed_border_indices=False) summed over enumerate_dc
+    @pytest.mark.parametrize(
+        "rows, cols, k, mixed, uniform",
+        [
+            (4, 4, 2, 32, 20),
+            (2, 6, 2, 8, 8),
+            (6, 2, 2, 8, 8),
+            (2, 4, 3, 9, 9),
+            (4, 2, 3, 9, 9),
+            (4, 6, 1, 5, 5),
+            (6, 6, 1, 21, 21),
+        ],
+    )
+    def test_golden_counts(self, rows, cols, k, mixed, uniform):
+        pictures = list(enumerate_dc(rows, cols, k))
+        assert sum(in_DW(p) for p in pictures) == mixed
+        assert sum(in_DW(p, mixed_border_indices=False) for p in pictures) == uniform
+
+    def test_pinwheel_of_accretions(self):
+        block = parse_picture("ab\ncd")
+        wide = nesting_accretion(Accretion(1, parse_word("abab"), parse_word("ac"), hcat(block, block)))
+        tall = nesting_accretion(Accretion(1, parse_word("ab"), parse_word("acac"), vcat(block, block)))
+        assert (wide.rows, wide.cols, tall.rows, tall.cols) == (4, 6, 6, 4)
+        # DW closes under partition, not only under concatenation
+        assert in_DW(pinwheel(wide, tall, wide, tall))
+
+    def test_deep_nesting_never_recurses(self):
+        script = (
+            "import sys, time\n"
+            "from test_wellnest import deep_nest\n"
+            "from dyck2d.wellnest import in_DW\n"
+            "p = deep_nest(120)\n"
+            "assert (p.rows, p.cols) == (242, 242)\n"
+            "sys.setrecursionlimit(60)\n"
+            "start = time.perf_counter()\n"
+            "assert in_DW(p)\n"
+            "assert time.perf_counter() - start < 1.0\n"
+        )
+        path = [str(Path(__file__).parent), str(Path(wellnest.__file__).parents[1])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
 
 class TestMemo:
     def test_no_module_state_grows(self, fx):
@@ -191,3 +260,10 @@ class TestChineseBoxes:
 
     def test_empty(self):
         assert in_DB(empty_picture())
+
+    def test_pinwheel_has_no_guillotine_cut(self):
+        block = parse_picture("ab\ncd")
+        wide, tall = chinese_accretion(hcat(block, block)), chinese_accretion(vcat(block, block))
+        assert in_DB(wide) and in_DB(tall)
+        # DB closes under concatenation only: a partition into boxes is not enough
+        assert not in_DB(pinwheel(wide, tall, wide, tall))
