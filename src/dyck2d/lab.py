@@ -245,6 +245,8 @@ def hamiltonian_search(
     Each crossword comes from _enumerate_matched with its matching, and its
     circuits are walked off that matching, with no matching graph built.
     """
+    if max_rows <= 0 or max_cols <= 0 or k < 1:
+        raise InvalidArgument("search needs positive bounds and k >= 1")
     if max_rows * max_cols > budget:
         raise BudgetExceeded(f"{max_rows}x{max_cols} exceeds the {budget}-cell budget")
     found = []

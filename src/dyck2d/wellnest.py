@@ -3,26 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
+from typing import Callable
 
 from .crossword import _crossword_matching
 from .dyck1d import Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
-from .grid import (
-    BULLET,
-    BULLET_SYM,
-    Picture,
-    Symbol,
-    empty_picture,
-    hcat,
-    _exact_cover,
-    homogeneous,
-    picture_from_rows,
-    subpicture,
-    sym,
-    vcat,
-    Domain,
-)
+from .grid import BULLET_SYM, Domain, Picture, Symbol, _exact_cover, picture_from_rows, sym
+
+_A1 = sym("a", 1)
+_BOX_CORNERS = (sym("b", 1), sym("c", 1), sym("d", 1))
 
 
 def _h_r(s: Symbol) -> Symbol:
@@ -103,6 +93,30 @@ def _is_frame(p: Picture, d: Domain, mixed_border_indices: bool) -> bool:
     )
 
 
+def _cores(tiles: list[Domain]) -> list[Domain]:
+    """The core of every tile larger than 2x2."""
+    return [Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2]
+
+
+def _tiled_top_down(p: Picture, reach: Callable, member: Callable, parts: Callable) -> bool:
+    """Whether every region of a worklist, from the full domain of p down, is tiled.
+
+    Each popped region is tiled by grid._exact_cover with reach and member,
+    and parts(region, tiles) gives the regions to decide next, or None to
+    reject.  The first region with no tiling decides False.  Nothing is
+    copied, remembered or recursed into.
+    """
+    regions = [p.full_domain()]
+    while regions:
+        region = regions.pop()
+        tiles = _exact_cover(region, reach, member)
+        more = None if tiles is None else parts(region, tiles)
+        if more is None:
+            return False
+        regions += more
+    return True
+
+
 def _well_nested(
     p: Picture, row: dict[int, int], col: dict[int, int], mixed_border_indices: bool = True
 ) -> bool:
@@ -123,16 +137,11 @@ def _well_nested(
         a = (i - 1) * cols + j - 1
         if cells[a].role != "a":
             return None
-        bottom, right = col[a] // cols + 1, row[a] % cols + 1
-        return bottom, right, bottom, right
+        return (col[a] // cols + 1, row[a] % cols + 1) * 2
 
-    regions = [p.full_domain()]
-    while regions:
-        tiles = _exact_cover(regions.pop(), reach, lambda d: _is_frame(p, d, mixed_border_indices))
-        if tiles is None:
-            return False
-        regions += (Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2)
-    return True
+    return _tiled_top_down(
+        p, reach, lambda d: _is_frame(p, d, mixed_border_indices), lambda _, tiles: _cores(tiles)
+    )
 
 
 def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
@@ -156,77 +165,69 @@ def chinese_accretion(p: Picture) -> Picture:
     """Frame p with a corner quadruple and bullet sides."""
     if any(s.is_neutral for s in p.cells):
         raise ContainsNeutral("Chinese boxes use corners and bullets only")
-    if p.is_empty:
-        return picture_from_rows([[sym("a", 1), sym("b", 1)], [sym("c", 1), sym("d", 1)]])
-    top = hcat(
-        homogeneous(sym("a", 1), 1, 1),
-        homogeneous(BULLET_SYM, 1, p.cols),
-        homogeneous(sym("b", 1), 1, 1),
-    )
-    mid = hcat(homogeneous(BULLET_SYM, p.rows, 1), p, homogeneous(BULLET_SYM, p.rows, 1))
-    bottom = hcat(
-        homogeneous(sym("c", 1), 1, 1),
-        homogeneous(BULLET_SYM, 1, p.cols),
-        homogeneous(sym("d", 1), 1, 1),
-    )
-    return vcat(top, mid, bottom)
+    a, b, c, d = (sym(r, 1) for r in "abcd")
+    rule = [BULLET_SYM] * p.cols
+    middle = ([BULLET_SYM, *p.row_word(r), BULLET_SYM] for r in range(1, p.rows + 1))
+    return picture_from_rows([[a, *rule, b], *middle, [c, *rule, d]], max(p.k, 1) if p.rows else 1)
 
 
-def _db_frame_core(p: Picture) -> Picture | None:
-    if p.rows < 2 or p.cols < 2:
-        return None
-    if (
-        p.cell(1, 1) != sym("a", 1)
-        or p.cell(1, p.cols) != sym("b", 1)
-        or p.cell(p.rows, 1) != sym("c", 1)
-        or p.cell(p.rows, p.cols) != sym("d", 1)
-    ):
-        return None
-    if (p.rows == 2) != (p.cols == 2):
-        return None
-    border = [
-        *p.row_word(1)[1:-1],
-        *p.row_word(p.rows)[1:-1],
-        *(p.cell(r, 1) for r in range(2, p.rows)),
-        *(p.cell(r, p.cols) for r in range(2, p.rows)),
-    ]
-    if any(s != BULLET_SYM for s in border):
-        return None
-    if p.rows == 2:
-        return empty_picture(p.k)
-    return subpicture(p, Domain(2, 2, p.rows - 1, p.cols - 1))
+def _is_box(p: Picture, d: Domain) -> bool:
+    """Whether the border of d in p is a Chinese box frame.
+
+    d is the box of the a1 at its top-left corner, so its top row and left
+    column are bullets between the corners; the rest is read here.
+    """
+    cells, cols = p.cells, p.cols
+    top, left, bottom, right = (x - 1 for x in d.as_tuple())
+    corners = (cells[top * cols + right], cells[bottom * cols + left], cells[bottom * cols + right])
+    sides = (
+        *cells[bottom * cols + left + 1 : bottom * cols + right],
+        *cells[(top + 1) * cols + right : bottom * cols + right : cols],
+    )
+    return corners == _BOX_CORNERS and (d.rows == 2) == (d.cols == 2) and set(sides) <= {BULLET_SYM}
+
+
+def _db_parts(region: Domain, tiles: list[Domain]) -> list[Domain] | None:
+    """The regions to decide once region is tiled by Chinese boxes.
+
+    One tile leaves its core.  Several leave the parts between the column
+    boundaries that no tile crosses, else between such row boundaries, and
+    None when every boundary is crossed.
+    """
+    if len(tiles) == 1:
+        return _cores(tiles)
+    top, left, bottom, right = region.as_tuple()
+    col_cuts = sorted(set(range(left, right)).difference(*(range(d.left, d.right) for d in tiles)))
+    if col_cuts:
+        return [Domain(top, a + 1, bottom, b) for a, b in pairwise([left - 1, *col_cuts, right])]
+    row_cuts = sorted(set(range(top, bottom)).difference(*(range(d.top, d.bottom) for d in tiles)))
+    if row_cuts:
+        return [Domain(a + 1, left, b, right) for a, b in pairwise([top - 1, *row_cuts, bottom])]
+    return None
 
 
 def in_DB(p: Picture) -> bool:
-    """Chinese-boxes membership: accretion plus plain concatenation closure."""
-    return _in_db(p, {})
+    """Chinese-boxes membership: accretion plus horizontal and vertical concatenation.
 
-
-def _in_db(p: Picture, memo: dict[tuple, bool]) -> bool:
-    """in_DB with a memo keyed by picture content that lives for one top-level call."""
+    Decided top-down over index domains of p, like _well_nested.  The box of
+    an a1 reaches the first non-bullet cell to its right and the first one
+    below it, so each region has at most one tiling by boxes; its parts are
+    pushed by _db_parts.  A straight cut of a slicing partition leaves
+    slicing partitions on both sides, so any cut keeps every member.  An
+    exact cover alone would accept the pinwheel, which no straight cut splits.
+    """
     if p.is_empty:
         return True
-    key = (p.rows, p.cols, p.cells)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    result = False
-    core = _db_frame_core(p)
-    if core is not None and _in_db(core, memo):
-        result = True
-    if not result:
-        for j in range(1, p.cols):
-            if _in_db(subpicture(p, Domain(1, 1, p.rows, j)), memo) and _in_db(
-                subpicture(p, Domain(1, j + 1, p.rows, p.cols)), memo
-            ):
-                result = True
-                break
-    if not result:
-        for i in range(1, p.rows):
-            if _in_db(subpicture(p, Domain(1, 1, i, p.cols)), memo) and _in_db(
-                subpicture(p, Domain(i + 1, 1, p.rows, p.cols)), memo
-            ):
-                result = True
-                break
-    memo[key] = result
-    return result
+    cells, cols = p.cells, p.cols
+
+    def reach(i: int, j: int) -> tuple[int, int, int, int] | None:
+        a = (i - 1) * cols + j - 1
+        if cells[a] != _A1:
+            return None
+        right = next((x for x in range(a + 1, i * cols) if cells[x] != BULLET_SYM), None)
+        below = next((x for x in range(a + cols, len(cells), cols) if cells[x] != BULLET_SYM), None)
+        if right is None or below is None:
+            return None
+        return (below // cols + 1, right % cols + 1) * 2
+
+    return _tiled_top_down(p, reach, lambda d: _is_box(p, d), _db_parts)

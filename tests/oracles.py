@@ -4,15 +4,16 @@ Everything here is written definitionally and shares no algorithmic ideas
 with the library: Dyck membership by repeated adjacent cancellation, circuit
 extraction by explicit partner tables built from the cancellation matching,
 neutralizability by blind search over all rectangles, the greedy trace by a
-rescan of every rectangle after each rewrite, and well-nestedness by
-a bottom-up closure over a finite universe of small pictures.
+rescan of every rectangle after each rewrite, well-nestedness by
+a bottom-up closure over a finite universe of small pictures, and Chinese
+boxes by generating every member within bounds from the empty picture.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from dyck2d.grid import Domain, N, Picture, subpicture, sym
+from dyck2d.grid import Domain, N, Picture, empty_picture, hcat, subpicture, sym, vcat
 
 ROW_PAIRS = {("a", "b"), ("c", "d")}
 COL_PAIRS = {("a", "c"), ("b", "d")}
@@ -265,3 +266,26 @@ def oracle_dw_set(max_rows: int, max_cols: int) -> set:
                 members.add(key)
                 changed = True
     return members
+
+
+def oracle_db_set(max_rows: int, max_cols: int) -> set:
+    """All Chinese-box pictures within bounds, as a bottom-up closure.
+
+    Starting from the empty picture, chinese_accretion and the horizontal and
+    vertical concatenation of two members are applied until no new picture
+    within the bounds appears.
+    """
+    from dyck2d.wellnest import chinese_accretion
+
+    members = {empty_picture()}
+    fresh = set(members)
+    while fresh:
+        grown = {chinese_accretion(p) for p in fresh}
+        for p, q in product(fresh, members):
+            if p.rows == q.rows and p.cols + q.cols <= max_cols:
+                grown |= {hcat(p, q), hcat(q, p)}
+            if p.cols == q.cols and p.rows + q.rows <= max_rows:
+                grown |= {vcat(p, q), vcat(q, p)}
+        fresh = {p for p in grown if p.rows <= max_rows and p.cols <= max_cols} - members
+        members |= fresh
+    return {(p.rows, p.cols, p.cells) for p in members}

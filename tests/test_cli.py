@@ -154,6 +154,18 @@ class TestSearch:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out) == ["ab\ncd"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-rows", "4", "--max-cols", "4", "--k", "0"],
+            ["--max-rows", "-4", "--max-cols", "4"],
+            ["--max-rows", "0", "--max-cols", "0"],
+        ],
+    )
+    def test_empty_or_negative(self, argv, capsys):
+        assert main(["search-hamiltonian", *argv]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestFixtures:
     def test_list(self, capsys):

@@ -293,6 +293,12 @@ class TestHamiltonianSearch:
         with pytest.raises(BudgetExceeded):
             hamiltonian_search(8, 8, budget=36)
 
+    @pytest.mark.parametrize("bounds", [(0, 4, 1), (4, -2, 1), (4, 4, 0), (-8, -8, 1)])
+    def test_non_positive_bounds_rejected(self, bounds):
+        # (-8, -8) is over the 36-cell budget too: the bounds are checked first
+        with pytest.raises(InvalidArgument):
+            hamiltonian_search(*bounds, budget=36)
+
 
 class TestFixtures:
     def test_all_parse_to_expected_sizes(self):

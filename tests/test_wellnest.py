@@ -1,7 +1,10 @@
+import inspect
 import os
+import random
 import subprocess
 import sys
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,18 @@ from dyck2d.crossword import in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
 from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from dyck2d import wellnest
-from dyck2d.grid import empty_picture, hcat, parse_picture, picture_from_rows, render_picture, vcat
+from dyck2d.grid import (
+    BULLET_SYM,
+    N,
+    Picture,
+    empty_picture,
+    hcat,
+    parse_picture,
+    picture_from_rows,
+    render_picture,
+    sym,
+    vcat,
+)
 from dyck2d.lab import census, enumerate_dc
 from dyck2d.wellnest import (
     Accretion,
@@ -21,7 +35,7 @@ from dyck2d.wellnest import (
     nesting_accretion,
 )
 
-from oracles import oracle_dw_set
+from oracles import oracle_db_set, oracle_dw_set
 
 
 def pinwheel(north, east, south, west):
@@ -45,6 +59,19 @@ def deep_nest(depth):
         w_r, w_c = parse_word("ab" * (p.cols // 2)), parse_word("ac" * (p.rows // 2))
         p = nesting_accretion(Accretion(1, w_r, w_c, p))
     return p
+
+
+def chinese_nest(depth):
+    """chinese_accretion applied depth times to the empty picture, built in one pass."""
+    n = 2 * depth
+
+    def cell(i, j):
+        ring = min(i, j, n - 1 - i, n - 1 - j)
+        if i in (ring, n - 1 - ring) and j in (ring, n - 1 - ring):
+            return sym("ac"[i != ring] if j == ring else "bd"[i != ring], 1)
+        return BULLET_SYM
+
+    return Picture(n, n, 1, tuple(cell(i, j) for i in range(n) for j in range(n)))
 
 
 def dyck_over(n, roles, kind):
@@ -267,3 +294,52 @@ class TestChineseBoxes:
         assert in_DB(wide) and in_DB(tall)
         # DB closes under concatenation only: a partition into boxes is not enough
         assert not in_DB(pinwheel(wide, tall, wide, tall))
+
+    def test_matches_closure_oracle_on_small_pictures(self):
+        members = oracle_db_set(6, 6)
+        alphabet = [*(sym(r, 1) for r in "abcd"), BULLET_SYM]
+        for rows in range(1, 7):
+            for cols in range(1, 6 // rows + 1):
+                for cells in product(alphabet, repeat=rows * cols):
+                    assert in_DB(Picture(rows, cols, 1, cells)) == ((rows, cols, cells) in members)
+
+    def test_matches_closure_oracle_on_members_and_mutants(self):
+        members = oracle_db_set(8, 8)
+        alphabet = [*(sym(r, 1) for r in "abcd"), BULLET_SYM, N]
+        rng = random.Random(0)
+        for rows, cols, cells in sorted(members, key=lambda m: (m[:2], [s.role for s in m[2]])):
+            assert in_DB(Picture(rows, cols, 1, cells))
+            # every cell of a member under 8 rows and 8 columns, two seeded cells of any other
+            spots = range(len(cells)) if max(rows, cols) < 8 else rng.sample(range(len(cells)), 2)
+            for x, s in product(spots, alphabet):
+                if s != cells[x]:
+                    mutant = (rows, cols, cells[:x] + (s,) + cells[x + 1 :])
+                    assert in_DB(Picture(rows, cols, 1, mutant[2])) == (mutant in members)
+
+    def test_chinese_nest_is_iterated_accretion(self):
+        p = empty_picture()
+        for depth in range(6):
+            assert chinese_nest(depth) == p
+            p = chinese_accretion(p)
+
+    def test_scale_never_recurses(self):
+        # chinese_nest is pasted in, so the child imports neither pytest nor hypothesis
+        script = (
+            "import sys, time\n"
+            "from dyck2d.grid import BULLET_SYM, Picture, empty_picture, hcat, sym, vcat\n"
+            f"{inspect.getsource(chinese_nest)}"
+            "from dyck2d.wellnest import chinese_accretion, in_DB\n"
+            "box = chinese_accretion(empty_picture())\n"
+            "strip = hcat(*[box] * 1200)\n"
+            "nest = chinese_nest(240)\n"
+            "grid = vcat(*[hcat(*[chinese_accretion(box)] * 20)] * 20)\n"
+            "broken = Picture(80, 80, 1, grid.cells[:-1] + (sym('b', 1),))\n"
+            "sys.setrecursionlimit(60)\n"
+            "for p, member in ((strip, True), (nest, True), (grid, True), (broken, False)):\n"
+            "    start = time.perf_counter()\n"
+            "    assert in_DB(p) == member, (p.rows, p.cols)\n"
+            "    assert time.perf_counter() - start < 1.0, (p.rows, p.cols)\n"
+        )
+        path = [str(Path(__file__).parent), str(Path(wellnest.__file__).parents[1])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
