@@ -287,45 +287,48 @@ def homogeneous(s: Symbol, rows: int, cols: int, k: int = 1) -> Picture:
     return Picture(rows, cols, k, (s,) * (rows * cols))
 
 
-def _exact_cover(
-    region: Domain,
-    reach: Callable[[int, int], Optional[tuple[int, int, int, int]]],
-    member: Callable[[Domain], bool],
+def simplot_partition(
+    p: Picture,
+    member: Callable[[Picture], bool],
     min_domains: int = 1,
 ) -> Optional[list[Domain]]:
-    """The first partition of region into member domains, sorted by (top, left).
+    """Exhaustive search for a partition of p into domains satisfying member.
 
-    Depth-first search on an explicit stack.  Each domain is anchored at the
-    top-left-most uncovered cell (i, j).  reach(i, j) returns None when no
-    domain is anchored there, else (bottom0, right0, bottom1, right1): the
-    bottom-right corners tried run from (bottom0, right0) to (bottom1,
-    right1) in ascending (bottom, right) order.  A row of corners ends at the
-    first overlap with the covered cells, and the search stops going down at
-    the first covered cell below the anchor.  A cover state that failed is
-    remembered and never searched again.  With min_domains > 1 the whole
-    region is never one domain.
+    Depth-first search on an explicit stack, so the number of domains is not
+    bounded by the recursion limit.  Each domain is anchored at the
+    top-left-most uncovered cell, and its bottom-right corners are tried in
+    ascending (bottom, right) order.  A row of corners ends at the first
+    overlap with the covered cells, and the search stops going down at the
+    first covered cell below the anchor.  A cover state that failed is
+    remembered and never searched again.  A None result therefore proves no
+    partition exists.  Domains come out sorted by (top, left).  With
+    min_domains=2 the single full-grid domain is rejected, which lets
+    recursive membership predicates avoid self-reference.
     """
-    top, left, width = region.top, region.left, region.cols
-    full = (1 << (region.rows * width)) - 1
+    if p.is_empty:
+        raise DomainOutOfBounds("cannot partition the empty picture")
+    rows, cols = p.rows, p.cols
+    full = (1 << (rows * cols)) - 1
+    member_cache: dict[Domain, bool] = {}
+
+    def ok(d: Domain) -> bool:
+        if d not in member_cache:
+            member_cache[d] = bool(member(subpicture(p, d)))
+        return member_cache[d]
 
     def candidates(covered: int):
         free = ~covered & full
-        i, j = divmod((free & -free).bit_length() - 1, width)
-        i, j = i + top, j + left
-        span = reach(i, j)
-        if span is None:
-            return
-        bottom0, right0, bottom1, right1 = span
-        for bottom in range(bottom0, min(bottom1, region.bottom) + 1):
-            if covered >> ((bottom - top) * width + j - left) & 1:
+        i, j = divmod((free & -free).bit_length() - 1, cols)
+        for bottom in range(i, rows):
+            if covered >> (bottom * cols + j) & 1:
                 break
-            for right in range(right0, min(right1, region.right) + 1):
-                row_bits = ((1 << (right - j + 1)) - 1) << (j - left)
-                m = sum(row_bits << ((r - top) * width) for r in range(i, bottom + 1))
+            for right in range(j, cols):
+                row_bits = ((1 << (right - j + 1)) - 1) << j
+                m = sum(row_bits << (r * cols) for r in range(i, bottom + 1))
                 if m & covered:
                     break
-                d = Domain(i, j, bottom, right)
-                if (m != full or min_domains < 2) and member(d):
+                d = Domain(i + 1, j + 1, bottom + 1, right + 1)
+                if (m != full or min_domains < 2) and ok(d):
                     yield d, m
 
     dead: set[tuple[int, int]] = set()
@@ -354,29 +357,3 @@ def _exact_cover(
         chosen.pop()
         covered ^= masks.pop()
     return None
-
-
-def simplot_partition(
-    p: Picture,
-    member: Callable[[Picture], bool],
-    min_domains: int = 1,
-) -> Optional[list[Domain]]:
-    """Exhaustive search for a partition of p into domains satisfying member.
-
-    Candidate domains are anchored at the top-left-most uncovered cell and
-    tried in ascending (bottom, right) order, with backtracking; a None result
-    therefore proves no partition exists.  The search keeps an explicit stack,
-    so the number of domains is not bounded by the recursion limit.  Domains
-    come out sorted by (top, left).  With min_domains=2 the single full-grid domain is rejected,
-    which lets recursive membership predicates avoid self-reference.
-    """
-    if p.is_empty:
-        raise DomainOutOfBounds("cannot partition the empty picture")
-    member_cache: dict[Domain, bool] = {}
-
-    def ok(d: Domain) -> bool:
-        if d not in member_cache:
-            member_cache[d] = bool(member(subpicture(p, d)))
-        return member_cache[d]
-
-    return _exact_cover(p.full_domain(), lambda i, j: (i, j, p.rows, p.cols), ok, min_domains)

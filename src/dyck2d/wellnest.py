@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, pairwise
+from operator import attrgetter
 from typing import Callable
 
 from .crossword import _crossword_matching
 from .dyck1d import Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
-from .grid import BULLET_SYM, Domain, Picture, Symbol, _exact_cover, picture_from_rows, sym
+from .grid import BULLET_SYM, NEUTRAL, Domain, Picture, Symbol, picture_from_rows, sym
 
 _A1 = sym("a", 1)
 _BOX_CORNERS = (sym("b", 1), sym("c", 1), sym("d", 1))
@@ -98,20 +99,29 @@ def _cores(tiles: list[Domain]) -> list[Domain]:
     return [Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2]
 
 
-def _tiled_top_down(p: Picture, reach: Callable, member: Callable, parts: Callable) -> bool:
+def _tiled_top_down(p: Picture, tile: Callable, parts: Callable) -> bool:
     """Whether every region of a worklist, from the full domain of p down, is tiled.
 
-    Each popped region is tiled by grid._exact_cover with reach and member,
-    and parts(region, tiles) gives the regions to decide next, or None to
-    reject.  The first region with no tiling decides False.  Nothing is
-    copied, remembered or recursed into.
+    A region is scanned in row-major order.  Each uncovered cell anchors
+    tile(i, j), its one tile or None, which must stay in the region and miss
+    the covered cells of its top row: a tile anchored earlier can reach it
+    only through that row.  parts(region, tiles) gives the regions to decide
+    next, or None to reject.  Nothing is copied, remembered or recursed into.
     """
     regions = [p.full_domain()]
     while regions:
         region = regions.pop()
-        tiles = _exact_cover(region, reach, member)
-        more = None if tiles is None else parts(region, tiles)
-        if more is None:
+        top, left, bottom, right = region.as_tuple()
+        width = region.cols
+        covered, tiles, x = bytearray(region.rows * width), [], 0
+        while (x := covered.find(0, x)) >= 0:
+            d = tile(top + x // width, left + x % width)
+            if d is None or d.bottom > bottom or d.right > right or 1 in covered[x : x + d.cols]:
+                return False
+            for y in range(x, x + d.rows * width, width):
+                covered[y : y + d.cols] = b"\1" * d.cols
+            tiles.append(d)
+        if (more := parts(region, tiles)) is None:
             return False
         regions += more
     return True
@@ -126,22 +136,21 @@ def _well_nested(
     partition that is itself partitioned can be replaced by its parts.  The
     top-left corner of an accretion is an a whose row and column partners are
     its top-right and bottom-left corners, so the only tile anchored at a
-    cell is that cell's box, and the cover never backtracks.  Regions are
+    cell is that cell's box, and the tiling needs no search.  Regions are
     decided top-down from a worklist: each is tiled by framed boxes, the core
     of every tile larger than 2x2 is pushed, and the first region with no
     such tiling decides False.
     """
     cells, cols = p.cells, p.cols
 
-    def reach(i: int, j: int) -> tuple[int, int, int, int] | None:
+    def tile(i: int, j: int) -> Domain | None:
         a = (i - 1) * cols + j - 1
         if cells[a].role != "a":
             return None
-        return (col[a] // cols + 1, row[a] % cols + 1) * 2
+        d = Domain(i, j, col[a] // cols + 1, row[a] % cols + 1)
+        return d if _is_frame(p, d, mixed_border_indices) else None
 
-    return _tiled_top_down(
-        p, reach, lambda d: _is_frame(p, d, mixed_border_indices), lambda _, tiles: _cores(tiles)
-    )
+    return _tiled_top_down(p, tile, lambda _, tiles: _cores(tiles))
 
 
 def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
@@ -163,7 +172,7 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
 
 def chinese_accretion(p: Picture) -> Picture:
     """Frame p with a corner quadruple and bullet sides."""
-    if any(s.is_neutral for s in p.cells):
+    if NEUTRAL in map(attrgetter("role"), p.cells):
         raise ContainsNeutral("Chinese boxes use corners and bullets only")
     a, b, c, d = (sym(r, 1) for r in "abcd")
     rule = [BULLET_SYM] * p.cols
@@ -213,14 +222,14 @@ def in_DB(p: Picture) -> bool:
     an a1 reaches the first non-bullet cell to its right and the first one
     below it, so each region has at most one tiling by boxes; its parts are
     pushed by _db_parts.  A straight cut of a slicing partition leaves
-    slicing partitions on both sides, so any cut keeps every member.  An
-    exact cover alone would accept the pinwheel, which no straight cut splits.
+    slicing partitions on both sides, so any cut keeps every member.  A
+    tiling alone would accept the pinwheel, which no straight cut splits.
     """
     if p.is_empty:
         return True
     cells, cols = p.cells, p.cols
 
-    def reach(i: int, j: int) -> tuple[int, int, int, int] | None:
+    def tile(i: int, j: int) -> Domain | None:
         a = (i - 1) * cols + j - 1
         if cells[a] != _A1:
             return None
@@ -228,6 +237,7 @@ def in_DB(p: Picture) -> bool:
         below = next((x for x in range(a + cols, len(cells), cols) if cells[x] != BULLET_SYM), None)
         if right is None or below is None:
             return None
-        return (below // cols + 1, right % cols + 1) * 2
+        d = Domain(i, j, below // cols + 1, right % cols + 1)
+        return d if _is_box(p, d) else None
 
-    return _tiled_top_down(p, reach, lambda d: _is_box(p, d), _db_parts)
+    return _tiled_top_down(p, tile, _db_parts)

@@ -141,6 +141,14 @@ class TestPicture:
         with pytest.raises(DomainOutOfBounds):
             e.full_domain()
 
+    def test_index_above_k(self):
+        # parse_picture rejects such indices first, so only these reach Picture's own check
+        blob = json.dumps({"rows": 1, "cols": 2, "k": 1, "cells": [["a", 2], ["b", 2]]})
+        with pytest.raises(IndexOutOfRange):
+            picture_from_json(blob)
+        with pytest.raises(IndexOutOfRange):
+            Picture(1, 2, 1, (sym("a", 2), sym("b", 2)))
+
 
 class TestConcat:
     def test_identity(self):

@@ -16,6 +16,7 @@ from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from dyck2d import wellnest
 from dyck2d.grid import (
     BULLET_SYM,
+    Domain,
     N,
     Picture,
     empty_picture,
@@ -230,17 +231,50 @@ class TestInDW:
         script = (
             "import sys, time\n"
             "from test_wellnest import deep_nest\n"
+            "from dyck2d.grid import hcat, parse_picture, vcat\n"
             "from dyck2d.wellnest import in_DW\n"
-            "p = deep_nest(120)\n"
-            "assert (p.rows, p.cols) == (242, 242)\n"
+            "nest = deep_nest(120)\n"
+            "assert (nest.rows, nest.cols) == (242, 242)\n"
+            "ab = parse_picture('ab\\ncd')\n"
+            "grid = vcat(*[hcat(*[ab] * 200)] * 200)\n"
             "sys.setrecursionlimit(60)\n"
-            "start = time.perf_counter()\n"
-            "assert in_DW(p)\n"
-            "assert time.perf_counter() - start < 1.0\n"
+            "for p in (nest, grid):\n"
+            "    start = time.perf_counter()\n"
+            "    assert in_DW(p), (p.rows, p.cols)\n"
+            "    assert time.perf_counter() - start < 1.0, (p.rows, p.cols)\n"
         )
         path = [str(Path(__file__).parent), str(Path(wellnest.__file__).parents[1])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+
+
+class TestTiledTopDown:
+    """The row-major scan alone, on stand-in tiles: a cell not listed is its own 1x1 tile."""
+
+    @pytest.mark.parametrize(
+        "listed, tiles",
+        [
+            ({}, [(1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)]),
+            ({(1, 1): (1, 1, 2, 1), (1, 2): (1, 2, 2, 2)}, [(1, 1, 2, 1), (1, 2, 2, 2)]),
+            ({(1, 2): None}, None),
+            ({(1, 1): (1, 1, 1, 3)}, None),  # leaves the region on the right
+            ({(1, 1): (1, 1, 3, 1)}, None),  # leaves the region at the bottom
+            ({(1, 2): (1, 2, 2, 2), (2, 1): (2, 1, 2, 2)}, None),  # its top row meets a tile
+        ],
+    )
+    def test_scan(self, listed, tiles):
+        seen = []
+
+        def tile(i, j):
+            d = listed.get((i, j), (i, j, i, j))
+            return d and Domain(*d)
+
+        def parts(region, found):
+            seen.append([d.as_tuple() for d in found])
+            return []
+
+        assert wellnest._tiled_top_down(parse_picture("ab\ncd"), tile, parts) == (tiles is not None)
+        assert seen == ([] if tiles is None else [tiles])
 
 
 class TestMemo:
