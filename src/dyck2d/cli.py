@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -28,9 +29,9 @@ def _read_picture(path: str, k: int):
 
 def _cmd_classify(args) -> int:
     p = _read_picture(args.picture, args.k)
-    flags = lab.classify(p)
-    print(json.dumps(flags.as_dict()))
-    if args.expect and not flags.as_dict()[f"in_{args.expect}"]:
+    flags = lab.classify(p).as_dict()
+    print(json.dumps(flags))
+    if args.expect and not flags[f"in_{args.expect}"]:
         return EXIT_EXPECT_FAILED
     return EXIT_OK
 
@@ -103,7 +104,9 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="dyck2d", description="Two-dimensional Dyck picture languages"
     )
@@ -159,8 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb and return its exit status; argument errors raise SystemExit(2).
+
+    main can be called repeatedly in one process and builds its parser once.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (Dyck2dError, OSError, UnicodeDecodeError) as exc:

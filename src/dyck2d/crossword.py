@@ -134,21 +134,21 @@ def matching_graph(p: Picture) -> MatchingGraph:
     return MatchingGraph(p.rows, p.cols, row_edges, col_edges, p)
 
 
-def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, dict]:
+def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, list]:
     """The 4-cycles a -> b -> d -> c of the row and column matchings.
 
     Each is a (left, top, right, bottom, index, id) tuple, 1-based, with id its
-    place in the list; the dict maps each corner's flat position to that id.
+    place in the list; the owner list gives, per flat position, the id of the
+    rectangle the cell is a corner of, or None.
     """
     cells, cols = p.cells, p.cols
-    rects, owner = [], {}
+    rects, owner = [], [None] * len(cells)
     for a, b in row.items():
         d = col.get(b)
-        if cells[a].role == "a" and d is not None and row.get(col.get(a)) == d:
+        if cells[a].role == "a" and d is not None and row.get(c := col.get(a)) == d:
+            owner[a] = owner[b] = owner[c] = owner[d] = rid = len(rects)
             (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
-            for x in (a, b, col[a], d):
-                owner[x] = len(rects)
-            rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, len(rects)))
+            rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, rid))
     return rects, owner
 
 

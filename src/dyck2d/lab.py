@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .crossword import _crossword_matching, _picture_walk, _rectangles
@@ -31,7 +31,7 @@ class ClassFlags:
                 raise HierarchyViolation(f"hierarchy violated: {self}")
 
     def as_dict(self) -> dict[str, bool]:
-        return asdict(self)
+        return {"in_dc": self.in_dc, "in_dq": self.in_dq, "in_dn": self.in_dn, "in_dw": self.in_dw}
 
 
 @dataclass(frozen=True, slots=True)

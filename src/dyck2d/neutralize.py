@@ -6,12 +6,15 @@ import graphlib
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import compress
 
-from .crossword import Circuit, _matching, _rectangles, picture_circuits
+from .crossword import _ROLE, Circuit, _matching, _rectangles, picture_circuits
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
 from .grid import NEUTRAL, Domain, N, Picture
 
 Pos = tuple[int, int]
+
+_NEUTRAL = -1  # the owner of a neutral cell in _owners
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +49,7 @@ def find_redexes(p: Picture) -> list[Redex]:
     order matches the sequence of the worked 4x6 reduction: its first step is
     the inner rectangle at (2,2), not the one at (1,4).
     """
-    rects, owner = _rectangles(p, *_matching(p))
+    rects, owner, _ = _owners(p)
     ready = [r for r, deps in zip(rects, _deps(p, rects, owner)) if not deps]
     return [_redex(r) for r in sorted(ready)]
 
@@ -67,26 +70,35 @@ def _redex(rect: tuple) -> Redex:
     return Redex(Domain(top, left, bottom, right), index)
 
 
-def _deps(p: Picture, rects: list, owner: dict) -> list[set]:
-    """Per rectangle, the owners of the non-neutral non-corner cells in its box.
+def _owners(p: Picture) -> tuple[list, list, int]:
+    """_rectangles of p with each neutral cell owned by _NEUTRAL, and the neutral count."""
+    rects, owner = _rectangles(p, *_matching(p))
+    neutral = list(compress(range(len(p.cells)), map(NEUTRAL.__eq__, map(_ROLE, p.cells))))
+    for x in neutral:
+        owner[x] = _NEUTRAL
+    return rects, owner, len(neutral)
 
-    A cell that is no rectangle's corner contributes None: it never turns
-    neutral, so a rectangle that waits for it waits forever.
+
+def _deps(p: Picture, rects: list, owner: list) -> list[set]:
+    """Per rectangle, the owners of the cells in its box, other than itself.
+
+    Each box row is read as one slice of owner.  The owner of a neutral cell
+    (_NEUTRAL) is discarded with the rectangle's own id.  A non-neutral cell
+    that is no rectangle's corner contributes None: it never turns neutral,
+    so a rectangle that waits for it waits forever.
     """
-    cells, cols = p.cells, p.cols
-    return [
-        {
-            owner.get(x)
-            for i in range(top - 1, bottom)
-            for x in range(i * cols + left - 1, i * cols + right)
-            if cells[x].role != NEUTRAL
-        }
-        - {rid}
-        for left, top, right, bottom, _, rid in rects
-    ]
+    cols, out = p.cols, []
+    for left, top, right, bottom, _, rid in rects:
+        deps, width = set(), right - left + 1
+        for x in range((top - 1) * cols + left - 1, bottom * cols, cols):
+            deps.update(owner[x : x + width])
+        deps.discard(rid)
+        deps.discard(_NEUTRAL)
+        out.append(deps)
+    return out
 
 
-def _kahn(p: Picture, rects: list, owner: dict) -> list:
+def _kahn(p: Picture, rects: list, owner: list) -> list:
     """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
 
     A rectangle waits for its _deps.  A cell turns neutral only as a corner
@@ -114,9 +126,9 @@ def _kahn(p: Picture, rects: list, owner: dict) -> list:
 
 def _greedy(p: Picture) -> Decision:
     """Kahn's order over the rectangles of the row and column matchings."""
-    trace = tuple(map(_redex, _kahn(p, *_rectangles(p, *_matching(p)))))
-    member = 4 * len(trace) == sum(s.role != NEUTRAL for s in p.cells)
-    return Decision(member, trace)
+    rects, owner, neutral = _owners(p)
+    trace = tuple(map(_redex, _kahn(p, rects, owner)))
+    return Decision(4 * len(trace) + neutral == len(p.cells), trace)
 
 
 def in_DN(p: Picture, strategy: str = "greedy") -> Decision:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from operator import attrgetter
@@ -14,6 +15,7 @@ from .grid import BULLET_SYM, NEUTRAL, Domain, Picture, Symbol, picture_from_row
 
 _A1 = sym("a", 1)
 _BOX_CORNERS = (sym("b", 1), sym("c", 1), sym("d", 1))
+_TOP, _LEFT, _BOTTOM, _RIGHT = map(attrgetter, ("top", "left", "bottom", "right"))
 
 
 def _h_r(s: Symbol) -> Symbol:
@@ -94,33 +96,45 @@ def _is_frame(p: Picture, d: Domain, mixed_border_indices: bool) -> bool:
     )
 
 
-def _cores(tiles: list[Domain]) -> list[Domain]:
-    """The core of every tile larger than 2x2."""
-    return [Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2]
+def _cores(tiles: list[Domain]) -> list[tuple[Domain, None]]:
+    """The core of every tile larger than 2x2, to be tiled afresh."""
+    cores = (Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2)
+    return [(core, None) for core in cores]
+
+
+def _tiling(region: Domain, tile: Callable) -> list[Domain] | None:
+    """The tiles of region found by one row-major scan, or None.
+
+    Each uncovered cell anchors tile(i, j), its one tile or None, which must
+    stay in the region and miss the covered cells of its top row: a tile
+    anchored earlier can reach it only through that row.
+    """
+    top, left, bottom, right = region.as_tuple()
+    width = region.cols
+    covered, tiles, x = bytearray(region.rows * width), [], 0
+    while (x := covered.find(0, x)) >= 0:
+        d = tile(top + x // width, left + x % width)
+        if d is None or d.bottom > bottom or d.right > right or 1 in covered[x : x + d.cols]:
+            return None
+        for y in range(x, x + d.rows * width, width):
+            covered[y : y + d.cols] = b"\1" * d.cols
+        tiles.append(d)
+    return tiles
 
 
 def _tiled_top_down(p: Picture, tile: Callable, parts: Callable) -> bool:
     """Whether every region of a worklist, from the full domain of p down, is tiled.
 
-    A region is scanned in row-major order.  Each uncovered cell anchors
-    tile(i, j), its one tile or None, which must stay in the region and miss
-    the covered cells of its top row: a tile anchored earlier can reach it
-    only through that row.  parts(region, tiles) gives the regions to decide
-    next, or None to reject.  Nothing is copied, remembered or recursed into.
+    The worklist holds (region, tiles) pairs.  A region whose tiles are None
+    is tiled by _tiling.  parts(region, tiles) gives the pairs to decide
+    next, or None to reject: a part handed the tiles already found inside it
+    is not scanned again.  Nothing is copied, remembered or recursed into.
     """
-    regions = [p.full_domain()]
+    regions = [(p.full_domain(), None)]
     while regions:
-        region = regions.pop()
-        top, left, bottom, right = region.as_tuple()
-        width = region.cols
-        covered, tiles, x = bytearray(region.rows * width), [], 0
-        while (x := covered.find(0, x)) >= 0:
-            d = tile(top + x // width, left + x % width)
-            if d is None or d.bottom > bottom or d.right > right or 1 in covered[x : x + d.cols]:
-                return False
-            for y in range(x, x + d.rows * width, width):
-                covered[y : y + d.cols] = b"\1" * d.cols
-            tiles.append(d)
+        region, tiles = regions.pop()
+        if tiles is None and (tiles := _tiling(region, tile)) is None:
+            return False
         if (more := parts(region, tiles)) is None:
             return False
         regions += more
@@ -196,22 +210,28 @@ def _is_box(p: Picture, d: Domain) -> bool:
     return corners == _BOX_CORNERS and (d.rows == 2) == (d.cols == 2) and set(sides) <= {BULLET_SYM}
 
 
-def _db_parts(region: Domain, tiles: list[Domain]) -> list[Domain] | None:
-    """The regions to decide once region is tiled by Chinese boxes.
+def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
+    """The (region, tiles) pairs to decide once region is tiled by Chinese boxes.
 
-    One tile leaves its core.  Several leave the parts between the column
-    boundaries that no tile crosses, else between such row boundaries, and
-    None when every boundary is crossed.
+    One tile leaves its core, to be tiled afresh.  Several leave the parts
+    between the column boundaries that no tile crosses, else between such
+    row boundaries, each with the tiles inside it, and None when every
+    boundary is crossed.
     """
     if len(tiles) == 1:
         return _cores(tiles)
     top, left, bottom, right = region.as_tuple()
-    col_cuts = sorted(set(range(left, right)).difference(*(range(d.left, d.right) for d in tiles)))
-    if col_cuts:
-        return [Domain(top, a + 1, bottom, b) for a, b in pairwise([left - 1, *col_cuts, right])]
-    row_cuts = sorted(set(range(top, bottom)).difference(*(range(d.top, d.bottom) for d in tiles)))
-    if row_cuts:
-        return [Domain(a + 1, left, b, right) for a, b in pairwise([top - 1, *row_cuts, bottom])]
+    for first, last, start, end, part in (
+        (_LEFT, _RIGHT, left, right, lambda a, b: Domain(top, a, bottom, b)),
+        (_TOP, _BOTTOM, top, bottom, lambda a, b: Domain(a, left, b, right)),
+    ):
+        cuts = sorted(set(range(start, end)).difference(*(range(first(d), last(d)) for d in tiles)))
+        if cuts:
+            inside = [[] for _ in range(len(cuts) + 1)]
+            for d in tiles:
+                inside[bisect_left(cuts, first(d))].append(d)
+            bounds = pairwise([start - 1, *cuts, end])
+            return [(part(a + 1, b), ds) for (a, b), ds in zip(bounds, inside)]
     return None
 
 
@@ -221,7 +241,8 @@ def in_DB(p: Picture) -> bool:
     Decided top-down over index domains of p, like _well_nested.  The box of
     an a1 reaches the first non-bullet cell to its right and the first one
     below it, so each region has at most one tiling by boxes; its parts are
-    pushed by _db_parts.  A straight cut of a slicing partition leaves
+    pushed by _db_parts with the boxes inside them, so each box is checked
+    once.  A straight cut of a slicing partition leaves
     slicing partitions on both sides, so any cut keeps every member.  A
     tiling alone would accept the pinwheel, which no straight cut splits.
     """

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dyck2d.cli import EXIT_EXPECT_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from dyck2d.cli import EXIT_EXPECT_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 
 
 def write(tmp_path, text, name="picture.txt"):
@@ -185,3 +185,46 @@ class TestParser:
     def test_requires_verb(self):
         with pytest.raises(SystemExit):
             main([])
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [["census", "--rows", "x", "--cols", "2"], ["no-such-verb"], []])
+    def test_usage_errors_repeat(self, argv, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage:")
+
+
+class TestReuse:
+    """Back-to-back main calls share one parser and leak no option between them."""
+
+    def test_expect_then_plain(self, tmp_path, capsys):
+        path = write(tmp_path, "aabb\nccdd")
+        assert main(["classify", "--expect", "dw", path]) == EXIT_EXPECT_FAILED
+        first = capsys.readouterr().out
+        assert main(["classify", path]) == EXIT_OK
+        assert capsys.readouterr().out == first
+
+    def test_exhaustive_then_greedy(self, tmp_path, capsys):
+        path = write(tmp_path, "abab\ncabd\nacdb\ncdcd")
+        assert main(["neutralize", "--strategy", "exhaustive", path]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["[]", "not neutralizable"]
+        assert main(["neutralize", path]) == EXIT_OK
+        trace, verdict = capsys.readouterr().out.splitlines()
+        assert json.loads(trace) and verdict == "not neutralizable"
+
+    def test_json_then_dot(self, tmp_path, capsys):
+        path = write(tmp_path, "ab\ncd")
+        assert main(["graph", "--format", "json", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rows"] == 2
+        assert main(["graph", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("graph matching {")
+
+    def test_k2_then_default_k(self, tmp_path, capsys):
+        path = write(tmp_path, "a2 b2\nc2 d2")
+        assert main(["classify", "--k", "2", path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["in_dw"]
+        assert main(["classify", path]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith("error:")

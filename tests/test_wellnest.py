@@ -350,6 +350,22 @@ class TestChineseBoxes:
                     mutant = (rows, cols, cells[:x] + (s,) + cells[x + 1 :])
                     assert in_DB(Picture(rows, cols, 1, mutant[2])) == (mutant in members)
 
+    @pytest.mark.parametrize(
+        "side, nested, boxes",
+        [(20, False, 400), (3, True, 18), (1, True, 2)],
+    )
+    def test_each_box_checked_once(self, monkeypatch, side, nested, boxes):
+        # parts between cuts keep the boxes found inside them: no box is framed twice
+        box = parse_picture("ab\ncd")
+        if nested:
+            box = chinese_accretion(box)
+        grid = vcat(*[hcat(*[box] * side)] * side)
+        calls = []
+        is_box = wellnest._is_box
+        monkeypatch.setattr(wellnest, "_is_box", lambda p, d: calls.append(d) or is_box(p, d))
+        assert in_DB(grid)
+        assert len(calls) == len(set(calls)) == boxes
+
     def test_chinese_nest_is_iterated_accretion(self):
         p = empty_picture()
         for depth in range(6):
