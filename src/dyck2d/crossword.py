@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .dyck1d import _COL_CLOSE, _ROW_CLOSE
+from .dyck1d import _COL_CLOSE, _ROW_CLOSE, _stack_match
 from .errors import ContainsNeutral, DegreeViolation, NotInDC
-from .grid import NEUTRAL, Picture, Symbol
+from .grid import Picture, Symbol
 
 Pos = tuple[int, int]
 Edge = tuple[Pos, Pos]
@@ -59,28 +59,6 @@ class Circuit:
 def _require_corners(p: Picture) -> None:
     if any(s.index is None for s in p.cells):  # only N and the bullet carry no index
         raise ContainsNeutral("crossword membership is defined over corner symbols")
-
-
-def _stack_match(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
-    """Opener -> closer flat positions by one stack per line.
-
-    Neutral cells are skipped; an unmatched closer or a bullet can never be
-    cancelled, so it clears the stack.
-    """
-    partner = {}
-    for line in lines:
-        stack = []
-        for x in line:
-            s = cells[x]
-            if s.role in close:
-                stack.append(x)
-            elif s.role != NEUTRAL:
-                top = cells[stack[-1]] if stack else None
-                if top and close[top.role] == s.role and top.index == s.index:
-                    partner[stack.pop()] = x
-                else:
-                    stack.clear()
-    return partner
 
 
 def _matching(p: Picture) -> tuple[dict[int, int], dict[int, int]]:

@@ -1,16 +1,19 @@
 """1D Dyck machinery over the row and column alphabets.
 
 The same four-letter alphabet carries two matching disciplines: rows pair
-(a_i, b_i) and (c_i, d_i); columns pair (a_i, c_i) and (b_i, d_i).
+(a_i, b_i) and (c_i, d_i); columns pair (a_i, c_i) and (b_i, d_i).  One stack
+pass, _stack_match, matches these words and the rows and columns of pictures;
+each word reader, word neutralization included, is one linear pass over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .errors import NeutralNotAllowed, NotDyck, OddLength
-from .grid import N, Symbol, parse_picture, sym
+from .grid import NEUTRAL, Symbol, parse_picture, sym
 
 Word = tuple[Symbol, ...]
 
@@ -61,124 +64,101 @@ def word_text(w: Sequence[Symbol], k: int = 1) -> str:
     return sep.join(s.text(k) for s in w)
 
 
+def _stack_match(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
+    """Opener -> closer flat positions by one stack per line.
+
+    Neutral cells are skipped; an unmatched closer or a bullet can never be
+    cancelled, so it clears the stack.
+    """
+    partner = {}
+    for line in lines:
+        stack = []
+        for x in line:
+            s = cells[x]
+            if s.role in close:
+                stack.append(x)
+            elif s.role != NEUTRAL:
+                top = cells[stack[-1]] if stack else None
+                if top and close[top.role] == s.role and top.index == s.index:
+                    partner[stack.pop()] = x
+                else:
+                    stack.clear()
+    return partner
+
+
+def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[dict[int, int]]:
+    """Opener -> closer 0-based positions of the Dyck word w, else None.
+
+    A neutral raises NeutralNotAllowed unless a closer or bullet before it failed.
+    """
+    close = pr._close_map
+    roles = [s.role for s in w]
+    end = roles.index(NEUTRAL) if NEUTRAL in roles else len(roles)
+    partner = _stack_match(w, [range(end)], close)
+    closers = end - sum(map(close.__contains__, roles[:end]))  # bullets included
+    if closers > len(partner):
+        return None
+    if end < len(roles):
+        raise NeutralNotAllowed(f"neutral at position {end + 1}")
+    return partner if 2 * len(partner) == end else None
+
+
 def is_dyck(w: Sequence[Symbol], pr: Pairing) -> bool:
     """Single left-to-right stack pass; neutral symbols are rejected."""
-    stack: list[Symbol] = []
-    for pos, s in enumerate(w, start=1):
-        if s.is_neutral:
-            raise NeutralNotAllowed(f"neutral at position {pos}")
-        if pr.is_open(s):
-            stack.append(s)
-        elif stack and pr.matches(stack[-1], s):
-            stack.pop()
-        else:
-            return False
-    return not stack
+    return _word_match(w, pr) is not None
 
 
 def match_positions(w: Sequence[Symbol], pr: Pairing) -> list[tuple[int, int]]:
     """Matched 1-based index pairs (open < close), sorted by closing position."""
-    stack: list[tuple[Symbol, int]] = []
-    pairs: list[tuple[int, int]] = []
-    for pos, s in enumerate(w, start=1):
-        if s.is_neutral:
-            raise NeutralNotAllowed(f"neutral at position {pos}")
-        if pr.is_open(s):
-            stack.append((s, pos))
-        elif stack and pr.matches(stack[-1][0], s):
-            pairs.append((stack.pop()[1], pos))
-        else:
-            raise NotDyck(word_text(w, pr.k))
-    if stack:
+    if (partner := _word_match(w, pr)) is None:
         raise NotDyck(word_text(w, pr.k))
-    return pairs
+    return sorted(((x + 1, y + 1) for x, y in partner.items()), key=itemgetter(1))
 
 
 def neutralize_word(w: Sequence[Symbol], pr: Pairing) -> bool:
     """Whether w rewrites to all-neutral by the word neutralization rule.
 
     A redex is an opening symbol, an even-length run of neutrals, and the
-    matching closing symbol; it rewrites to neutrals.  Redexes never overlap,
-    so the fixpoint is order-independent.  Odd neutral runs cannot arise from
-    neutral-free words and a lone neutral inside a redex would break the
-    even-block shape, so odd runs are never bridged.
+    matching closing symbol; it rewrites to neutrals.  Only pairs of the stack
+    matching that skips neutrals are ever rewritten, innermost first, and a
+    pair's interior keeps its length, so w neutralizes iff every letter but N
+    is matched and every pair has an even interior.
     """
-    letters = list(w)
-    n = len(letters)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < n:
-            s = letters[i]
-            if s.is_neutral or not pr.is_open(s):
-                i += 1
-                continue
-            j = i + 1
-            while j < n and letters[j].is_neutral:
-                j += 1
-            if j < n and (j - i - 1) % 2 == 0 and pr.matches(s, letters[j]):
-                for t in range(i, j + 1):
-                    letters[t] = N
-                changed = True
-                i = j + 1
-            else:
-                i += 1
-    return all(s.is_neutral for s in letters)
+    partner = _stack_match(w, [range(len(w))], pr._close_map)
+    letters = len(w) - sum(s.is_neutral for s in w)
+    return 2 * len(partner) == letters and all((y - x) % 2 for x, y in partner.items())
 
 
 def prime_factorize(w: Sequence[Symbol], pr: Pairing) -> list[Word]:
-    """Unique decomposition into prime Dyck factors (splits at stack-empty points)."""
-    if not is_dyck(w, pr):
+    """Unique decomposition into prime Dyck factors: each runs from an opener to its partner."""
+    if (partner := _word_match(w, pr)) is None:
         raise NotDyck(word_text(w, pr.k))
-    factors: list[Word] = []
-    depth = 0
-    start = 0
-    for pos, s in enumerate(w):
-        depth += 1 if pr.is_open(s) else -1
-        if depth == 0:
-            factors.append(tuple(w[start : pos + 1]))
-            start = pos + 1
+    factors, start = [], 0
+    while start < len(w):
+        end = partner[start] + 1
+        factors.append(tuple(w[start:end]))
+        start = end
     return factors
-
-
-def _letters_sorted(pr: Pairing) -> list[Symbol]:
-    roles = "abcd"
-    return [sym(r, i) for r in roles for i in range(1, pr.k + 1)]
 
 
 def enumerate_dyck(n: int, pr: Pairing) -> list[Word]:
     """All Dyck words of length n under pr, in lexicographic order.
 
     Lexicographic order is a < b < c < d with indices ascending inside each
-    letter.  The count is Catalan(n/2) * (2k)^(n/2).
+    letter.  The count is Catalan(n/2) * (2k)^(n/2).  Each level extends every
+    prefix by the letters in alphabet order, so it stays lexicographic.
     """
     if n < 0 or n % 2:
         raise OddLength(f"no Dyck words of length {n}")
-    alphabet = _letters_sorted(pr)
-    out: list[Word] = []
-    prefix: list[Symbol] = []
-
-    def extend(stack: list[Symbol]) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        remaining = n - len(prefix)
-        for s in alphabet:
-            if pr.is_open(s):
-                if len(stack) + 1 > remaining - 1:
-                    continue
-                prefix.append(s)
-                stack.append(s)
-                extend(stack)
-                stack.pop()
-                prefix.pop()
-            elif stack and pr.matches(stack[-1], s):
-                top = stack.pop()
-                prefix.append(s)
-                extend(stack)
-                prefix.pop()
-                stack.append(top)
-
-    extend([])
-    return out
+    close = pr._close_map
+    letters = [(r, i) for r in "abcd" for i in range(1, pr.k + 1)]
+    alphabet = [(sym(r, i), sym(close[r], i) if r in close else None) for r, i in letters]
+    words: list[tuple[Word, Word]] = [((), ())]  # (prefix, closers still owed, innermost last)
+    for remaining in range(n, 0, -1):  # an opener leaves room for its closer and those owed
+        words = [
+            (prefix + (s,), owed + (closer,) if closer else owed[:-1])
+            for prefix, owed in words
+            for s, closer in alphabet
+            if (len(owed) < remaining - 1 if closer else owed and owed[-1] is s)
+        ]
+    return [prefix for prefix, _ in words]

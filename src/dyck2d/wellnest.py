@@ -215,8 +215,9 @@ def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
 
     One tile leaves its core, to be tiled afresh.  Several leave the parts
     between the column boundaries that no tile crosses, else between such
-    row boundaries, each with the tiles inside it, and None when every
-    boundary is crossed.
+    row boundaries, and None when every boundary is crossed.  A part holding
+    one tile is that tile and leaves its core at once; any other part comes
+    with the tiles inside it.
     """
     if len(tiles) == 1:
         return _cores(tiles)
@@ -231,7 +232,10 @@ def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
             for d in tiles:
                 inside[bisect_left(cuts, first(d))].append(d)
             bounds = pairwise([start - 1, *cuts, end])
-            return [(part(a + 1, b), ds) for (a, b), ds in zip(bounds, inside)]
+            parts = []
+            for (a, b), ds in zip(bounds, inside):
+                parts += _cores(ds) if len(ds) == 1 else [(part(a + 1, b), ds)]
+            return parts
     return None
 
 

@@ -3,6 +3,7 @@
 Everything here is written definitionally and shares no algorithmic ideas
 with the library: Dyck membership by repeated adjacent cancellation, circuit
 extraction by explicit partner tables built from the cancellation matching,
+word neutralization by rewriting redexes until a rescan finds none,
 neutralizability by blind search over all rectangles, the greedy trace by a
 rescan of every rectangle after each rewrite, well-nestedness by
 a bottom-up closure over a finite universe of small pictures, and Chinese
@@ -57,6 +58,29 @@ def oracle_match_positions(word, kind: str) -> set[tuple[int, int]]:
     if items:
         raise ValueError("word is not Dyck")
     return out
+
+
+def oracle_neutralize_word(word, kind: str) -> bool:
+    """Rescan until no redex is left: an opener, an even run of N, its closer become N."""
+    pairs = _pairs(kind)
+    letters = [(s.role, s.index) for s in word]
+    n = len(letters)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < n:
+            j = i + 1
+            while j < n and letters[j][0] == "N":
+                j += 1
+            (r1, i1), (r2, i2) = letters[i], letters[j] if j < n else ("N", None)
+            if (r1, r2) in pairs and i1 == i2 and (j - i - 1) % 2 == 0:
+                letters[i : j + 1] = [("N", None)] * (j + 1 - i)
+                changed = True
+                i = j + 1
+            else:
+                i += 1
+    return all(r == "N" for r, _ in letters)
 
 
 def oracle_in_dc(p: Picture) -> bool:

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -15,9 +16,9 @@ from dyck2d.dyck1d import (
     word_text,
 )
 from dyck2d.errors import NeutralNotAllowed, NotDyck, OddLength
-from dyck2d.grid import sym
+from dyck2d.grid import BULLET_SYM, N, sym
 
-from oracles import oracle_is_dyck, oracle_match_positions
+from oracles import oracle_is_dyck, oracle_match_positions, oracle_neutralize_word
 
 ROW = Pairing("Row", 1)
 COL = Pairing("Col", 1)
@@ -92,6 +93,26 @@ class TestIsDyck:
             assert is_dyck(combo, ROW) == oracle_is_dyck(combo, "Row")
 
 
+class TestNeutralOrder:
+    # a neutral raises only when the letters before it have not already failed
+
+    def test_failure_before_neutral(self):
+        w = parse_word("baN")
+        assert is_dyck(w, ROW) is False
+        for reader in (match_positions, prime_factorize):
+            with pytest.raises(NotDyck, match="^baN$"):
+                reader(w, ROW)
+
+    def test_neutral_before_failure(self):
+        w = parse_word("abN")
+        for reader in (is_dyck, match_positions):
+            with pytest.raises(NeutralNotAllowed, match="^neutral at position 3$"):
+                reader(w, ROW)
+
+    def test_bullet_is_never_matched(self):
+        assert is_dyck(parse_word("a•b"), ROW) is False
+
+
 class TestMatchPositions:
     def test_example(self):
         assert match_positions(parse_word("abcd"), ROW) == [(1, 2), (3, 4)]
@@ -132,6 +153,22 @@ class TestNeutralizeWord:
     def test_all_neutral(self):
         assert neutralize_word(parse_word("NN"), ROW)
         assert neutralize_word((), ROW)
+
+    @pytest.mark.parametrize("kind", ["Row", "Col"])
+    def test_matches_rescan_oracle(self, kind):
+        for k, length in ((1, 6), (2, 4)):
+            pr = Pairing(kind, k)
+            alphabet = [*(sym(r, i) for r in "abcd" for i in range(1, k + 1)), N, BULLET_SYM]
+            for n in range(length + 1):
+                for w in product(alphabet, repeat=n):
+                    assert neutralize_word(w, pr) == oracle_neutralize_word(w, kind), w
+
+    @pytest.mark.parametrize("half, middle", [(2000, ""), (1000, "NN")])
+    def test_scale(self, half, middle):
+        w = parse_word("a" * half + middle + "b" * half)
+        start = time.perf_counter()
+        assert neutralize_word(w, ROW)
+        assert time.perf_counter() - start < 0.5
 
     @given(random_words, pairings)
     def test_agrees_with_is_dyck_on_neutral_free(self, w, pr):

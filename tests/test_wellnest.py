@@ -366,6 +366,16 @@ class TestChineseBoxes:
         assert in_DB(grid)
         assert len(calls) == len(set(calls)) == boxes
 
+    def test_one_tile_parts_skip_the_worklist(self, monkeypatch):
+        # 40x40 grid of ab/cd: the full domain, then its 20 column strips; the
+        # 400 one-box parts go straight to their (empty) cores
+        grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
+        calls = []
+        db_parts = wellnest._db_parts
+        monkeypatch.setattr(wellnest, "_db_parts", lambda r, ts: calls.append(r) or db_parts(r, ts))
+        assert in_DB(grid)
+        assert len(calls) == 21
+
     def test_chinese_nest_is_iterated_accretion(self):
         p = empty_picture()
         for depth in range(6):
