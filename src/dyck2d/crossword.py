@@ -61,8 +61,8 @@ def _require_corners(p: Picture) -> None:
         raise ContainsNeutral("crossword membership is defined over corner symbols")
 
 
-def _matching(p: Picture) -> tuple[dict[int, int], dict[int, int]]:
-    """The row and the column matching of p, opener -> closer over flat positions.
+def _matching(p: Picture) -> tuple[list[int], list[int]]:
+    """The row and the column partner lists of p over flat positions, -1 if unmatched.
 
     A cell (i, j), 0-based, sits at i * p.cols + j.  Neutral and bullet cells
     are never matched, so p is a crossword exactly when every cell is matched
@@ -74,7 +74,7 @@ def _matching(p: Picture) -> tuple[dict[int, int], dict[int, int]]:
     return _stack_match(cells, row_lines, _ROW_CLOSE), _stack_match(cells, col_lines, _COL_CLOSE)
 
 
-def _crossword_matching(p: Picture) -> tuple[dict[int, int], dict[int, int]] | None:
+def _crossword_matching(p: Picture) -> tuple[list[int], list[int]] | None:
     """The matching of a crossword; None for the empty picture and for a non-crossword.
 
     Raises ContainsNeutral on a non-empty picture with a neutral or bullet cell.
@@ -83,7 +83,7 @@ def _crossword_matching(p: Picture) -> tuple[dict[int, int], dict[int, int]] | N
         return None
     _require_corners(p)
     row, col = _matching(p)
-    return (row, col) if 2 * len(row) == 2 * len(col) == len(p.cells) else None
+    return None if -1 in row or -1 in col else (row, col)
 
 
 def in_DC(p: Picture) -> bool:
@@ -96,7 +96,7 @@ def _positions(rows: int, cols: int) -> list[Pos]:
     return [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
 
 
-def _match_or_raise(p: Picture) -> tuple[dict[int, int], dict[int, int]]:
+def _match_or_raise(p: Picture) -> tuple[list[int], list[int]]:
     match = _crossword_matching(p)
     if match is None:
         raise NotInDC("matching graph needs a crossword picture")
@@ -105,15 +105,16 @@ def _match_or_raise(p: Picture) -> tuple[dict[int, int], dict[int, int]]:
 
 def matching_graph(p: Picture) -> MatchingGraph:
     """The row and column match edges of a crossword; NotInDC off crosswords."""
-    at = _positions(p.rows, p.cols).__getitem__
+    table = _positions(p.rows, p.cols)
     row_edges, col_edges = (
-        frozenset(zip(map(at, m), map(at, m.values()))) for m in _match_or_raise(p)
+        frozenset([(table[x], table[y]) for x, y in enumerate(m) if x < y])
+        for m in _match_or_raise(p)
     )
     return MatchingGraph(p.rows, p.cols, row_edges, col_edges, p)
 
 
-def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[list, list]:
-    """The 4-cycles a -> b -> d -> c of the row and column matchings.
+def _rectangles(p: Picture, row: list[int], col: list[int]) -> tuple[list, list]:
+    """The 4-cycles a -> b -> d -> c of the row and column partner lists.
 
     Each is a (left, top, right, bottom, index, id) tuple, 1-based, with id its
     place in the list; the owner list gives, per flat position, the id of the
@@ -121,22 +122,13 @@ def _rectangles(p: Picture, row: dict[int, int], col: dict[int, int]) -> tuple[l
     """
     cells, cols = p.cells, p.cols
     rects, owner = [], [None] * len(cells)
-    for a, b in row.items():
-        d = col.get(b)
-        if cells[a].role == "a" and d is not None and row.get(c := col.get(a)) == d:
+    for a, b in enumerate(row):
+        # a partner is read only once it lies ahead: a -1 would index the last cell
+        if b > a and cells[a].role == "a" and (c := col[a]) > a and row[c] == (d := col[b]) > b:
             owner[a] = owner[b] = owner[c] = owner[d] = rid = len(rects)
             (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
             rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, rid))
     return rects, owner
-
-
-def _flat_partners(n: int, match: dict[int, int]) -> list[int]:
-    """The opener -> closer dict of a matching as a list that maps both ways."""
-    partner = [0] * n
-    for x, y in match.items():
-        partner[x] = y
-        partner[y] = x
-    return partner
 
 
 def _graph_partners(g: MatchingGraph) -> tuple[list[int], list[int]]:
@@ -228,19 +220,13 @@ def circuits(g: MatchingGraph) -> list[Circuit]:
     return [_circuit(c, table, cells) for c in _walk(cells, g.cols, *_graph_partners(g))]
 
 
-def _picture_walk(p: Picture, row: dict[int, int], col: dict[int, int]) -> list[list[int]]:
-    """The circuits of a crossword, as flat positions, from its row and column matching."""
-    n = len(p.cells)
-    return _walk(p.cells, p.cols, _flat_partners(n, row), _flat_partners(n, col))
-
-
 def picture_circuits(p: Picture) -> list[Circuit]:
     """circuits(matching_graph(p)), walked off the flat matching with no graph built.
 
     NotInDC off crosswords, ContainsNeutral on a neutral or bullet cell.
     """
     table = _positions(p.rows, p.cols)
-    return [_circuit(c, table, p.cells) for c in _picture_walk(p, *_match_or_raise(p))]
+    return [_circuit(c, table, p.cells) for c in _walk(p.cells, p.cols, *_match_or_raise(p))]
 
 
 def is_quaternate(p: Picture) -> bool:

@@ -2,14 +2,14 @@
 
 The same four-letter alphabet carries two matching disciplines: rows pair
 (a_i, b_i) and (c_i, d_i); columns pair (a_i, c_i) and (b_i, d_i).  One stack
-pass, _stack_match, matches these words and the rows and columns of pictures;
-each word reader, word neutralization included, is one linear pass over it.
+pass, _stack_match, gives the partner list of these words and of the rows and
+columns of pictures (partner[x] is x's partner, -1 if unmatched), the one form
+a matching takes; each word reader is one linear pass over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import NeutralNotAllowed, NotDyck, OddLength
@@ -64,13 +64,13 @@ def word_text(w: Sequence[Symbol], k: int = 1) -> str:
     return sep.join(s.text(k) for s in w)
 
 
-def _stack_match(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
-    """Opener -> closer flat positions by one stack per line.
+def _stack_match(cells: tuple, lines, close: dict[str, str]) -> list[int]:
+    """The partner of each flat position by one stack per line, -1 if unmatched.
 
     Neutral cells are skipped; an unmatched closer or a bullet can never be
     cancelled, so it clears the stack.
     """
-    partner = {}
+    partner = [-1] * len(cells)
     for line in lines:
         stack = []
         for x in line:
@@ -80,14 +80,15 @@ def _stack_match(cells: tuple, lines, close: dict[str, str]) -> dict[int, int]:
             elif s.role != NEUTRAL:
                 top = cells[stack[-1]] if stack else None
                 if top and close[top.role] == s.role and top.index == s.index:
-                    partner[stack.pop()] = x
+                    y = partner[x] = stack.pop()
+                    partner[y] = x
                 else:
                     stack.clear()
     return partner
 
 
-def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[dict[int, int]]:
-    """Opener -> closer 0-based positions of the Dyck word w, else None.
+def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[list[int]]:
+    """The partner list over 0-based positions of the Dyck word w, else None.
 
     A neutral raises NeutralNotAllowed unless a closer or bullet before it failed.
     """
@@ -95,12 +96,13 @@ def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[dict[int, int]]:
     roles = [s.role for s in w]
     end = roles.index(NEUTRAL) if NEUTRAL in roles else len(roles)
     partner = _stack_match(w, [range(end)], close)
+    pairs = (len(w) - partner.count(-1)) // 2
     closers = end - sum(map(close.__contains__, roles[:end]))  # bullets included
-    if closers > len(partner):
+    if closers > pairs:
         return None
     if end < len(roles):
         raise NeutralNotAllowed(f"neutral at position {end + 1}")
-    return partner if 2 * len(partner) == end else None
+    return partner if 2 * pairs == end else None
 
 
 def is_dyck(w: Sequence[Symbol], pr: Pairing) -> bool:
@@ -112,7 +114,7 @@ def match_positions(w: Sequence[Symbol], pr: Pairing) -> list[tuple[int, int]]:
     """Matched 1-based index pairs (open < close), sorted by closing position."""
     if (partner := _word_match(w, pr)) is None:
         raise NotDyck(word_text(w, pr.k))
-    return sorted(((x + 1, y + 1) for x, y in partner.items()), key=itemgetter(1))
+    return [(x + 1, y + 1) for y, x in enumerate(partner) if x < y]
 
 
 def neutralize_word(w: Sequence[Symbol], pr: Pairing) -> bool:
@@ -125,8 +127,9 @@ def neutralize_word(w: Sequence[Symbol], pr: Pairing) -> bool:
     is matched and every pair has an even interior.
     """
     partner = _stack_match(w, [range(len(w))], pr._close_map)
-    letters = len(w) - sum(s.is_neutral for s in w)
-    return 2 * len(partner) == letters and all((y - x) % 2 for x, y in partner.items())
+    neutrals = sum(s.is_neutral for s in w)
+    pairs = ((x, y) for x, y in enumerate(partner) if x < y)
+    return partner.count(-1) == neutrals and all((y - x) % 2 for x, y in pairs)
 
 
 def prime_factorize(w: Sequence[Symbol], pr: Pairing) -> list[Word]:

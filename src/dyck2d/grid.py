@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Optional
 from .errors import (
     DomainOutOfBounds,
     IndexOutOfRange,
+    InvalidArgument,
     RaggedRows,
     SizeMismatch,
     UnknownToken,
@@ -108,6 +109,8 @@ class Picture:
     cells: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
+        if self.rows < 0 or self.cols < 0 or (self.rows == 0) != (self.cols == 0):
+            raise InvalidArgument(f"bad picture size {self.rows}x{self.cols}: sides > 0, or 0x0")
         if len(self.cells) != self.rows * self.cols:
             raise ValueError("cells length must be rows * cols")
         for s in self.cells:
@@ -142,11 +145,11 @@ def empty_picture(k: int = 1) -> Picture:
 
 def picture_from_rows(rows: Iterable[Iterable[Symbol]], k: int = 1) -> Picture:
     mat = [tuple(r) for r in rows]
-    if not mat:
-        return empty_picture(k)
-    width = len(mat[0])
+    width = len(mat[0]) if mat else 0
     if any(len(r) != width for r in mat):
         raise RaggedRows("rows of unequal length")
+    if not width:
+        return empty_picture(k)
     return Picture(len(mat), width, k, tuple(chain.from_iterable(mat)))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .crossword import _crossword_matching, _picture_walk, _rectangles
+from .crossword import _crossword_matching, _rectangles, _walk
 from .dyck1d import ROW, Word, is_dyck, word_text
 from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
 from .grid import Picture, parse_picture, picture_from_rows, sym
@@ -55,8 +55,8 @@ def classify(p: Picture) -> ClassFlags:
     return _classify_matched(p, *match)
 
 
-def _classify_matched(p: Picture, row: dict[int, int], col: dict[int, int]) -> ClassFlags:
-    """The memberships of the crossword p, given its row and column matching.
+def _classify_matched(p: Picture, row: list[int], col: list[int]) -> ClassFlags:
+    """The memberships of the crossword p, given its row and column partner lists.
 
     DQ: every a closes a 4-cycle, so the rectangles cover the cells.  DN:
     Kahn's order over the rectangles completes, which on DQ is acyclicity of
@@ -81,8 +81,8 @@ def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:
 
 def _enumerate_matched(
     rows: int, cols: int, k: int
-) -> Iterator[tuple[Picture, dict[int, int], dict[int, int]]]:
-    """Each crossword of the given size with its row and column matching.
+) -> Iterator[tuple[Picture, list[int], list[int]]]:
+    """Each crossword of the given size with its row and column partner lists.
 
     Cells are filled in row-major order by an iterative search over an
     explicit stack.  One row stack and one stack per column hold the flat
@@ -98,8 +98,10 @@ def _enumerate_matched(
     A popping cell takes its top's index, so a cell has at most k + 3
     options (a1..ak, b, c, d, tried in that order, which keeps the output
     lexicographic), each checked in O(1).  A stack may be no deeper than the
-    cells left in its line.  Each pop records opener -> closer, so the two
-    dicts yielded equal crossword._crossword_matching(picture).
+    cells left in its line.  Each pop records its pair both ways in the
+    partner lists, and an undone closer reads its opener back from them.
+    Every pair is closed at a yield, so no stale entry leaks, and the lists
+    yielded equal crossword._crossword_matching(picture).
     """
     if rows % 2 or cols % 2 or rows <= 0 or cols <= 0:
         return
@@ -109,9 +111,7 @@ def _enumerate_matched(
     # role and 0-based index per cell; position n is the bottom of every stack
     role, index, tried = [-1] * (n + 1), [0] * (n + 1), [0] * n
     grid: list = [None] * n
-    row_top, col_top = [0] * n, [0] * n  # the opener a popping cell closed
-    row: dict[int, int] = {}
-    col: dict[int, int] = {}
+    row, col = [-1] * n, [-1] * n
     row_stack = [n]
     col_stacks = [[n] for _ in range(cols)]
     x, o = 0, 0  # the cell, and the first option left to try there
@@ -134,17 +134,17 @@ def _enumerate_matched(
         if r is not None:
             role[x], index[x], tried[x], grid[x] = r, t, o, letters[r][t]
             if r & 1:
-                row[rt], row_top[x] = x, row_stack.pop()
+                row[rt], row[x] = x, row_stack.pop()
             else:
                 row_stack.append(x)
             if r & 2:
-                col[ct], col_top[x] = x, col_stack.pop()
+                col[ct], col[x] = x, col_stack.pop()
             else:
                 col_stack.append(x)
             if x + 1 < n:
                 x, o = x + 1, 0
                 continue
-            yield Picture(rows, cols, k, tuple(grid)), dict(row), dict(col)
+            yield Picture(rows, cols, k, tuple(grid)), row[:], col[:]
         elif x == 0:
             return
         else:
@@ -152,13 +152,11 @@ def _enumerate_matched(
         # undo the cell at x and resume its options
         col_stack = col_stacks[x % cols]
         if role[x] & 1:
-            del row[row_top[x]]
-            row_stack.append(row_top[x])
+            row_stack.append(row[x])
         else:
             row_stack.pop()
         if role[x] & 2:
-            del col[col_top[x]]
-            col_stack.append(col_top[x])
+            col_stack.append(col[x])
         else:
             col_stack.pop()
         o = tried[x]
@@ -253,7 +251,7 @@ def hamiltonian_search(
     for rows in range(2, max_rows + 1, 2):
         for cols in range(2, max_cols + 1, 2):
             for p, row, col in _enumerate_matched(rows, cols, k):
-                if len(_picture_walk(p, row, col)) == 1:
+                if len(_walk(p.cells, cols, row, col)) == 1:
                     found.append(p)
     return found
 

@@ -9,27 +9,11 @@ from operator import attrgetter
 from typing import Callable
 
 from .crossword import _crossword_matching
-from .dyck1d import Pairing, Word, is_dyck
+from .dyck1d import COL, ROW, Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
-from .grid import BULLET_SYM, NEUTRAL, Domain, Picture, Symbol, picture_from_rows, sym
+from .grid import BULLET, BULLET_SYM, NEUTRAL, Domain, Picture, picture_from_rows, sym
 
-_A1 = sym("a", 1)
-_BOX_CORNERS = (sym("b", 1), sym("c", 1), sym("d", 1))
 _TOP, _LEFT, _BOTTOM, _RIGHT = map(attrgetter, ("top", "left", "bottom", "right"))
-
-
-def _h_r(s: Symbol) -> Symbol:
-    """Bottom-border image of a top-border letter: a -> c, b -> d."""
-    return sym({"a": "c", "b": "d"}[s.role], s.index)
-
-
-def _h_c(s: Symbol) -> Symbol:
-    """Right-border image of a left-border letter: a -> b, c -> d.
-
-    Only this mapping keeps the side columns Dyck; the a -> c variant would
-    duplicate the left border.
-    """
-    return sym({"a": "b", "c": "d"}[s.role], s.index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +37,12 @@ def _check_border(w: Word, roles: str, pr: Pairing, uniform_index: int | None) -
 
 
 def nesting_accretion(acc: Accretion, mixed_border_indices: bool = True) -> Picture:
-    """Frame the core with a corner quadruple and Dyck border words."""
+    """Frame the core with a corner quadruple and Dyck border words.
+
+    The bottom border closes the top one by column (a -> c, b -> d), the right
+    border the left one by row (a -> b, c -> d): only that keeps the side
+    columns Dyck, where a -> c would duplicate the left border.
+    """
     core = acc.core
     if len(acc.w_r) != core.cols or len(acc.w_c) != core.rows:
         raise LengthMismatch(
@@ -64,35 +53,32 @@ def nesting_accretion(acc: Accretion, mixed_border_indices: bool = True) -> Pict
     _check_border(acc.w_r, "ab", Pairing("Row", k), uniform)
     _check_border(acc.w_c, "ac", Pairing("Col", k), uniform)
     top = [sym("a", acc.index), *acc.w_r, sym("b", acc.index)]
-    bottom = [sym("c", acc.index), *(_h_r(s) for s in acc.w_r), sym("d", acc.index)]
+    bottom = [sym("c", acc.index), *map(COL.close_of, acc.w_r), sym("d", acc.index)]
     middle = [
-        [acc.w_c[r], *core.row_word(r + 1), _h_c(acc.w_c[r])]
+        [acc.w_c[r], *core.row_word(r + 1), ROW.close_of(acc.w_c[r])]
         for r in range(core.rows)
     ]
     return picture_from_rows([top, *middle, bottom], k)
 
 
-def _is_frame(p: Picture, d: Domain, mixed_border_indices: bool) -> bool:
-    """Whether the border of d in the crossword p is a nesting accretion frame.
+def _is_frame(p: Picture, row: list[int], col: list[int], a: int, mixed: bool) -> bool:
+    """Whether the box of the a at flat position a of the crossword p is an accretion frame.
 
-    d is the box of the a at its top-left corner, so its top-right and
-    bottom-left corners are that a's partners, and the border words between
-    partners are Dyck; the rest is read from the border cells.
+    Its corners b and c are a's row and column partners.  It is a frame when
+    b and c close one 4-cycle, it is 2x2 or has a core, each top-border cell's
+    column partner is straight below it and each left-border cell's row partner
+    straight across, and unless mixed, the top and left borders carry a's index.
     """
     cells, cols = p.cells, p.cols
-    top, left, bottom, right = (x - 1 for x in d.as_tuple())
-    i = cells[top * cols + left].index
-    if cells[bottom * cols + right] != sym("d", i) or (d.rows == 2) != (d.cols == 2):
+    b, c = row[a], col[a]
+    width, height = b - a, c - a  # flat steps across and down the box
+    if col[b] != row[c] or (width == 1) != (height == cols):
         return False  # a (0, n) or (n, 0) core is not a picture
-    top_bottom = (
-        (cells[top * cols + j], cells[bottom * cols + j], "ab", _h_r) for j in range(left + 1, right)
-    )
-    left_right = (
-        (cells[r * cols + left], cells[r * cols + right], "ac", _h_c) for r in range(top + 1, bottom)
-    )
-    return all(
-        s.role in roles and t == image(s) and (mixed_border_indices or s.index == i)
-        for s, t, roles, image in chain(top_bottom, left_right)
+    top, left = range(a + 1, b), range(a + cols, c, cols)
+    return (
+        all(col[x] == x + height for x in top)
+        and all(row[x] == x + width for x in left)
+        and (mixed or all(cells[x].index == cells[a].index for x in chain(top, left)))
     )
 
 
@@ -142,9 +128,9 @@ def _tiled_top_down(p: Picture, tile: Callable, parts: Callable) -> bool:
 
 
 def _well_nested(
-    p: Picture, row: dict[int, int], col: dict[int, int], mixed_border_indices: bool = True
+    p: Picture, row: list[int], col: list[int], mixed_border_indices: bool = True
 ) -> bool:
-    """DW membership of the crossword p, given its matching.
+    """DW membership of the crossword p, given its row and column partner lists.
 
     A picture is well-nested iff it is tiled by accretions: a part of a
     partition that is itself partitioned can be replaced by its parts.  The
@@ -159,10 +145,9 @@ def _well_nested(
 
     def tile(i: int, j: int) -> Domain | None:
         a = (i - 1) * cols + j - 1
-        if cells[a].role != "a":
+        if cells[a].role != "a" or not _is_frame(p, row, col, a, mixed_border_indices):
             return None
-        d = Domain(i, j, col[a] // cols + 1, row[a] % cols + 1)
-        return d if _is_frame(p, d, mixed_border_indices) else None
+        return Domain(i, j, col[a] // cols + 1, row[a] % cols + 1)
 
     return _tiled_top_down(p, tile, lambda _, tiles: _cores(tiles))
 
@@ -203,11 +188,12 @@ def _is_box(p: Picture, d: Domain) -> bool:
     cells, cols = p.cells, p.cols
     top, left, bottom, right = (x - 1 for x in d.as_tuple())
     corners = (cells[top * cols + right], cells[bottom * cols + left], cells[bottom * cols + right])
-    sides = (
-        *cells[bottom * cols + left + 1 : bottom * cols + right],
-        *cells[(top + 1) * cols + right : bottom * cols + right : cols],
+    sides = chain(
+        cells[bottom * cols + left + 1 : bottom * cols + right],
+        cells[(top + 1) * cols + right : bottom * cols + right : cols],
     )
-    return corners == _BOX_CORNERS and (d.rows == 2) == (d.cols == 2) and set(sides) <= {BULLET_SYM}
+    framed = [(s.role, s.index) for s in corners] == [("b", 1), ("c", 1), ("d", 1)]
+    return framed and (d.rows == 2) == (d.cols == 2) and all(s.role == BULLET for s in sides)
 
 
 def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
@@ -252,14 +238,14 @@ def in_DB(p: Picture) -> bool:
     """
     if p.is_empty:
         return True
-    cells, cols = p.cells, p.cols
+    cells, cols, n = p.cells, p.cols, len(p.cells)
 
     def tile(i: int, j: int) -> Domain | None:
         a = (i - 1) * cols + j - 1
-        if cells[a] != _A1:
+        if cells[a].role != "a" or cells[a].index != 1:
             return None
-        right = next((x for x in range(a + 1, i * cols) if cells[x] != BULLET_SYM), None)
-        below = next((x for x in range(a + cols, len(cells), cols) if cells[x] != BULLET_SYM), None)
+        right = next((x for x in range(a + 1, i * cols) if cells[x].role != BULLET), None)
+        below = next((x for x in range(a + cols, n, cols) if cells[x].role != BULLET), None)
         if right is None or below is None:
             return None
         d = Domain(i, j, below // cols + 1, right % cols + 1)

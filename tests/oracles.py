@@ -42,8 +42,19 @@ def oracle_is_dyck(word, kind: str) -> bool:
 
 def oracle_match_positions(word, kind: str) -> set[tuple[int, int]]:
     """The matching, recovered by cancellation with original positions kept."""
+    out = oracle_cancelled_pairs(word, kind)
+    if 2 * len(out) != len(word):
+        raise ValueError("word is not Dyck")
+    return {(x + 1, y + 1) for x, y in out}
+
+
+def oracle_cancelled_pairs(word, kind: str) -> set[tuple[int, int]]:
+    """The 0-based position pairs that adjacent cancellation removes, N cells skipped.
+
+    Whatever cannot be cancelled stays: bullets, unmatched letters, and the N cells.
+    """
     pairs = _pairs(kind)
-    items = [(s.role, s.index, pos) for pos, s in enumerate(word, start=1)]
+    items = [(s.role, s.index, pos) for pos, s in enumerate(word) if s.role != "N"]
     out: set[tuple[int, int]] = set()
     changed = True
     while changed:
@@ -55,8 +66,6 @@ def oracle_match_positions(word, kind: str) -> set[tuple[int, int]]:
                 del items[i : i + 2]
                 changed = True
                 break
-    if items:
-        raise ValueError("word is not Dyck")
     return out
 
 

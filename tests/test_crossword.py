@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
 
 from dyck2d.crossword import (
     MatchingGraph,
+    _matching,
     circuits,
     graph_to_dot,
     graph_to_json,
@@ -15,10 +17,10 @@ from dyck2d.crossword import (
     picture_circuits,
 )
 from dyck2d.errors import ContainsNeutral, DegreeViolation, NotInDC
-from dyck2d.grid import parse_picture
+from dyck2d.grid import BULLET_SYM, N, Picture, parse_picture, sym
 from dyck2d.lab import double_noose, enumerate_dc
 
-from oracles import oracle_circuits, oracle_in_dc, oracle_is_quaternate
+from oracles import oracle_cancelled_pairs, oracle_circuits, oracle_in_dc, oracle_is_quaternate
 
 
 def small_dc_pictures():
@@ -34,6 +36,65 @@ K2_DC = [
     for rows, cols in ((2, 2), (2, 4), (4, 2), (4, 4))
     for p in enumerate_dc(rows, cols, k=2)
 ]
+
+
+def one_cell_mutants(pictures, count, seed):
+    """count seeded one-cell mutants; N and the bullet are among the new symbols."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.choice(pictures)
+        x = rng.randrange(len(p.cells))
+        s = rng.choice([N, BULLET_SYM, *(sym(r, i) for r in "abcd" for i in range(1, p.k + 1))])
+        out.append(Picture(p.rows, p.cols, p.k, p.cells[:x] + (s,) + p.cells[x + 1 :]))
+    return out
+
+
+MATCH_POOL = SMALL_DC + K2_DC + one_cell_mutants(SMALL_DC + K2_DC, 600, seed=13)
+
+
+class TestPartnerLists:
+    """_matching's format: partner[x] is x's partner in its row (column), or -1."""
+
+    def test_involutions(self):
+        for p in MATCH_POOL:
+            for partner in _matching(p):
+                assert len(partner) == len(p.cells)
+                assert all(y == -1 or partner[y] == x for x, y in enumerate(partner))
+
+    def test_minus_one_marks_exactly_the_unmatched_cells(self):
+        assert any(N in p.cells for p in MATCH_POOL)
+        assert any(BULLET_SYM in p.cells for p in MATCH_POOL)
+        for p in MATCH_POOL:
+            rows, cols = p.rows, p.cols
+            row_pairs = {
+                (i * cols + x, i * cols + y)
+                for i in range(rows)
+                for x, y in oracle_cancelled_pairs(p.row_word(i + 1), "Row")
+            }
+            col_pairs = {
+                (x * cols + j, y * cols + j)
+                for j in range(cols)
+                for x, y in oracle_cancelled_pairs(p.col_word(j + 1), "Col")
+            }
+            for partner, pairs in zip(_matching(p), (row_pairs, col_pairs)):
+                assert {(x, y) for x, y in enumerate(partner) if x < y} == pairs
+                matched = {x for pair in pairs for x in pair}
+                unmatched = set(range(rows * cols)) - matched
+                assert {x for x, y in enumerate(partner) if y == -1} == unmatched
+
+    def test_partners_share_a_line_and_the_opener_comes_first(self):
+        for p in MATCH_POOL:
+            row, col = _matching(p)
+            for partner, line, openers, closers in (
+                (row, lambda x: x // p.cols, "ac", "bd"),
+                (col, lambda x: x % p.cols, "ab", "cd"),
+            ):
+                for x, y in enumerate(partner):
+                    if x < y:
+                        assert line(x) == line(y)
+                        assert p.cells[x].role in openers and p.cells[y].role in closers
+                        assert p.cells[x].index == p.cells[y].index
 
 
 class TestInDC:

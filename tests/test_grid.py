@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from dyck2d.errors import (
     DomainOutOfBounds,
     IndexOutOfRange,
+    InvalidArgument,
     RaggedRows,
     SizeMismatch,
     UnknownToken,
@@ -148,6 +149,22 @@ class TestPicture:
             picture_from_json(blob)
         with pytest.raises(IndexOutOfRange):
             Picture(1, 2, 1, (sym("a", 2), sym("b", 2)))
+
+    @pytest.mark.parametrize("rows, cols", [(-2, -2), (-1, -4), (0, 3), (3, 0), (-1, 0)])
+    def test_malformed_size(self, rows, cols):
+        # -2 x -2 holds rows * cols = 4 cells; 0 x 3 would read as empty yet have a side
+        cells = (sym("a", 1),) * max(rows * cols, 0)
+        with pytest.raises(InvalidArgument):
+            Picture(rows, cols, 1, cells)
+        blob = json.dumps({"rows": rows, "cols": cols, "k": 1, "cells": [["a", 1]] * len(cells)})
+        with pytest.raises(InvalidArgument):
+            picture_from_json(blob)
+
+    def test_rows_of_no_cells_are_the_empty_picture(self):
+        assert picture_from_rows([[], []]) == empty_picture()
+        assert picture_from_rows([[], []], k=2) == empty_picture(2)
+        with pytest.raises(RaggedRows):
+            picture_from_rows([[], [sym("a", 1)]])
 
 
 class TestConcat:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyck2d.crossword import in_DC
+from dyck2d.crossword import _matching, in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
 from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from dyck2d import wellnest
@@ -19,6 +19,7 @@ from dyck2d.grid import (
     Domain,
     N,
     Picture,
+    Symbol,
     empty_picture,
     hcat,
     parse_picture,
@@ -248,6 +249,42 @@ class TestInDW:
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
 
 
+class TestFrame:
+    """_is_frame reads the matching: a 4-cycle of corners, borders paired straight across."""
+
+    def test_fixtures(self, fx):
+        p = fx["fig1_left"]
+        assert wellnest._is_frame(p, *_matching(p), 0, True)
+        # fig2's border symbols read as a frame, but its core ba/dc is not balanced,
+        # so the top and left borders are not paired across the box
+        p = fx["fig2"]
+        assert not wellnest._is_frame(p, *_matching(p), 0, True)
+        assert not in_DW(p)
+
+    def test_frames_read_as_accretions(self):
+        # an accepted box has the corners and the border images of a nesting accretion
+        sizes = ((4, 4, 1), (4, 6, 1), (6, 4, 1), (4, 4, 2))
+        pool = [p for rows, cols, k in sizes for p in enumerate_dc(rows, cols, k)]
+        below, across = {"a": "c", "b": "d"}, {"a": "b", "c": "d"}
+        accepted = 0
+        for p in pool:
+            row, col = _matching(p)
+            for a, s in enumerate(p.cells):
+                if s.role != "a" or not wellnest._is_frame(p, row, col, a, True):
+                    continue
+                accepted += 1
+                b, c = row[a], col[a]
+                d = col[b]
+                assert [p.cells[x] for x in (b, c, d)] == [sym(r, s.index) for r in "bcd"]
+                for x in range(a + 1, b):
+                    t = p.cells[x]
+                    assert t.role in below and p.cells[x + c - a] == sym(below[t.role], t.index)
+                for x in range(a + p.cols, c, p.cols):
+                    t = p.cells[x]
+                    assert t.role in across and p.cells[x + b - a] == sym(across[t.role], t.index)
+        assert accepted > len(pool)
+
+
 class TestTiledTopDown:
     """The row-major scan alone, on stand-in tiles: a cell not listed is its own 1x1 tile."""
 
@@ -365,6 +402,18 @@ class TestChineseBoxes:
         monkeypatch.setattr(wellnest, "_is_box", lambda p, d: calls.append(d) or is_box(p, d))
         assert in_DB(grid)
         assert len(calls) == len(set(calls)) == boxes
+
+    @pytest.mark.parametrize("decide", [in_DB, in_DW])
+    def test_no_symbol_comparisons(self, monkeypatch, decide):
+        # the deciders read roles and indices: no dataclass __eq__ or __hash__ runs
+        grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
+        calls = []
+        for name in ("__eq__", "__hash__"):
+            method = getattr(Symbol, name)
+            monkeypatch.setattr(Symbol, name, lambda *args, m=method: calls.append(m) or m(*args))
+        assert decide(grid)
+        assert not calls, f"{len(calls)} Symbol comparisons or hashes"
+        assert grid.cells[0] == grid.cells[2] and len(calls) == 1  # the counter counts
 
     def test_one_tile_parts_skip_the_worklist(self, monkeypatch):
         # 40x40 grid of ab/cd: the full domain, then its 20 column strips; the
