@@ -13,7 +13,6 @@ from .grid import (
     empty_picture,
     parse_picture,
     render_picture,
-    simplot_partition,
     subpicture,
     sym,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "prime_factorize",
     "priority_graph",
     "render_picture",
-    "simplot_partition",
     "subpicture",
     "sym",
 ]

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     DomainOutOfBounds,
@@ -289,74 +289,3 @@ def homogeneous(s: Symbol, rows: int, cols: int, k: int = 1) -> Picture:
         return empty_picture(k)
     return Picture(rows, cols, k, (s,) * (rows * cols))
 
-
-def simplot_partition(
-    p: Picture,
-    member: Callable[[Picture], bool],
-    min_domains: int = 1,
-) -> Optional[list[Domain]]:
-    """Exhaustive search for a partition of p into domains satisfying member.
-
-    Depth-first search on an explicit stack, so the number of domains is not
-    bounded by the recursion limit.  Each domain is anchored at the
-    top-left-most uncovered cell, and its bottom-right corners are tried in
-    ascending (bottom, right) order.  A row of corners ends at the first
-    overlap with the covered cells, and the search stops going down at the
-    first covered cell below the anchor.  A cover state that failed is
-    remembered and never searched again.  A None result therefore proves no
-    partition exists.  Domains come out sorted by (top, left).  With
-    min_domains=2 the single full-grid domain is rejected, which lets
-    recursive membership predicates avoid self-reference.
-    """
-    if p.is_empty:
-        raise DomainOutOfBounds("cannot partition the empty picture")
-    rows, cols = p.rows, p.cols
-    full = (1 << (rows * cols)) - 1
-    member_cache: dict[Domain, bool] = {}
-
-    def ok(d: Domain) -> bool:
-        if d not in member_cache:
-            member_cache[d] = bool(member(subpicture(p, d)))
-        return member_cache[d]
-
-    def candidates(covered: int):
-        free = ~covered & full
-        i, j = divmod((free & -free).bit_length() - 1, cols)
-        for bottom in range(i, rows):
-            if covered >> (bottom * cols + j) & 1:
-                break
-            for right in range(j, cols):
-                row_bits = ((1 << (right - j + 1)) - 1) << j
-                m = sum(row_bits << (r * cols) for r in range(i, bottom + 1))
-                if m & covered:
-                    break
-                d = Domain(i + 1, j + 1, bottom + 1, right + 1)
-                if (m != full or min_domains < 2) and ok(d):
-                    yield d, m
-
-    dead: set[tuple[int, int]] = set()
-    chosen: list[Domain] = []
-    masks: list[int] = []
-    covered = 0
-    stack = [candidates(0)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            dead.add((covered, min(len(chosen), min_domains)))
-            stack.pop()
-            if chosen:
-                chosen.pop()
-                covered ^= masks.pop()
-            continue
-        chosen.append(step[0])
-        masks.append(step[1])
-        covered |= step[1]
-        if covered == full:
-            if len(chosen) >= min_domains:
-                return chosen
-        elif (covered, min(len(chosen), min_domains)) not in dead:
-            stack.append(candidates(covered))
-            continue
-        chosen.pop()
-        covered ^= masks.pop()
-    return None

@@ -84,8 +84,8 @@ def _is_frame(p: Picture, row: list[int], col: list[int], a: int, mixed: bool) -
 
 def _cores(tiles: list[Domain]) -> list[tuple[Domain, None]]:
     """The core of every tile larger than 2x2, to be tiled afresh."""
-    cores = (Domain(d.top + 1, d.left + 1, d.bottom - 1, d.right - 1) for d in tiles if d.rows > 2)
-    return [(core, None) for core in cores]
+    boxes = map(Domain.as_tuple, tiles)
+    return [(Domain(t + 1, l + 1, b - 1, r - 1), None) for t, l, b, r in boxes if b - t > 1]
 
 
 def _tiling(region: Domain, tile: Callable) -> list[Domain] | None:
@@ -96,70 +96,58 @@ def _tiling(region: Domain, tile: Callable) -> list[Domain] | None:
     anchored earlier can reach it only through that row.
     """
     top, left, bottom, right = region.as_tuple()
-    width = region.cols
-    covered, tiles, x = bytearray(region.rows * width), [], 0
+    width = right - left + 1
+    covered, tiles, x = bytearray((bottom - top + 1) * width), [], 0
     while (x := covered.find(0, x)) >= 0:
-        d = tile(top + x // width, left + x % width)
-        if d is None or d.bottom > bottom or d.right > right or 1 in covered[x : x + d.cols]:
+        if (d := tile(top + x // width, left + x % width)) is None:
             return None
-        for y in range(x, x + d.rows * width, width):
-            covered[y : y + d.cols] = b"\1" * d.cols
+        t, l, b, r = d.as_tuple()
+        ones = b"\1" * (r - l + 1)
+        if b > bottom or r > right or 1 in covered[x : x + len(ones)]:
+            return None
+        for y in range(x, x + (b - t + 1) * width, width):
+            covered[y : y + len(ones)] = ones
         tiles.append(d)
     return tiles
 
 
-def _tiled_top_down(p: Picture, tile: Callable, parts: Callable) -> bool:
-    """Whether every region of a worklist, from the full domain of p down, is tiled.
+def _well_nested(p: Picture, row: list[int], col: list[int], mixed: bool = True) -> bool:
+    """DW membership of the crossword p, given its row and column partner lists.
 
-    The worklist holds (region, tiles) pairs.  A region whose tiles are None
-    is tiled by _tiling.  parts(region, tiles) gives the pairs to decide
-    next, or None to reject: a part handed the tiles already found inside it
-    is not scanned again.  Nothing is copied, remembered or recursed into.
+    A picture is well-nested iff it is tiled by accretions whose cores are
+    tiled by accretions, so the border rings (top and bottom rows, left and
+    right columns) of its frames partition the cells.  One row-major scan
+    claims them: the first unclaimed cell must be an a whose box (its row and
+    column partners are the top-right and bottom-left corners) is a frame
+    whose ring meets no claimed cell.  That cell is the top-left corner of
+    its ring, so a member's rings are found one by one.  Conversely, rings
+    that share no cell are closed loops, so their boxes nest or are disjoint
+    (two boxes that meet with neither inside the other cross borders), and
+    each core is tiled by the frames inside it.
     """
-    regions = [(p.full_domain(), None)]
-    while regions:
-        region, tiles = regions.pop()
-        if tiles is None and (tiles := _tiling(region, tile)) is None:
+    cells, cols = p.cells, p.cols
+    claimed, a = bytearray(len(cells)), 0
+    while (a := claimed.find(0, a)) >= 0:
+        if cells[a].role != "a" or not _is_frame(p, row, col, a, mixed):
             return False
-        if (more := parts(region, tiles)) is None:
+        b, c = row[a], col[a]
+        top, bottom = slice(a, b + 1), slice(c, c + b - a + 1)
+        left, right = slice(a + cols, c, cols), slice(b + cols, c + b - a, cols)
+        if any(1 in claimed[side] for side in (top, bottom, left, right)):
             return False
-        regions += more
+        claimed[top] = claimed[bottom] = b"\1" * (b - a + 1)
+        claimed[left] = claimed[right] = b"\1" * ((c - a) // cols - 1)
     return True
 
 
-def _well_nested(
-    p: Picture, row: list[int], col: list[int], mixed_border_indices: bool = True
-) -> bool:
-    """DW membership of the crossword p, given its row and column partner lists.
-
-    A picture is well-nested iff it is tiled by accretions: a part of a
-    partition that is itself partitioned can be replaced by its parts.  The
-    top-left corner of an accretion is an a whose row and column partners are
-    its top-right and bottom-left corners, so the only tile anchored at a
-    cell is that cell's box, and the tiling needs no search.  Regions are
-    decided top-down from a worklist: each is tiled by framed boxes, the core
-    of every tile larger than 2x2 is pushed, and the first region with no
-    such tiling decides False.
-    """
-    cells, cols = p.cells, p.cols
-
-    def tile(i: int, j: int) -> Domain | None:
-        a = (i - 1) * cols + j - 1
-        if cells[a].role != "a" or not _is_frame(p, row, col, a, mixed_border_indices):
-            return None
-        return Domain(i, j, col[a] // cols + 1, row[a] % cols + 1)
-
-    return _tiled_top_down(p, tile, lambda _, tiles: _cores(tiles))
-
-
 def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
-    """Membership in the well-nested Dyck language, decided top-down.
+    """Membership in the well-nested Dyck language, decided in one scan.
 
     p is well-nested iff it is empty, or it is the nesting accretion of a
     well-nested core (the frame determines the border words uniquely), or it
-    partitions into at least two well-nested subpictures.  On a crossword the
-    tiling is forced, since each a anchors one box; see _well_nested.  A
-    picture with a neutral or bullet cell is not well-nested.
+    partitions into at least two well-nested subpictures.  On a crossword
+    each a anchors one box, and one scan claims the frames' rings; see
+    _well_nested.  A picture with a neutral or bullet cell is not in DW.
     """
     if p.is_empty:
         return True
@@ -193,7 +181,8 @@ def _is_box(p: Picture, d: Domain) -> bool:
         cells[(top + 1) * cols + right : bottom * cols + right : cols],
     )
     framed = [(s.role, s.index) for s in corners] == [("b", 1), ("c", 1), ("d", 1)]
-    return framed and (d.rows == 2) == (d.cols == 2) and all(s.role == BULLET for s in sides)
+    square = (bottom - top == 1) == (right - left == 1)
+    return framed and square and all(s.role == BULLET for s in sides)
 
 
 def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
@@ -228,13 +217,14 @@ def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
 def in_DB(p: Picture) -> bool:
     """Chinese-boxes membership: accretion plus horizontal and vertical concatenation.
 
-    Decided top-down over index domains of p, like _well_nested.  The box of
-    an a1 reaches the first non-bullet cell to its right and the first one
-    below it, so each region has at most one tiling by boxes; its parts are
-    pushed by _db_parts with the boxes inside them, so each box is checked
-    once.  A straight cut of a slicing partition leaves
-    slicing partitions on both sides, so any cut keeps every member.  A
-    tiling alone would accept the pinwheel, which no straight cut splits.
+    Decided over index domains of p by a worklist of (region, tiles) pairs,
+    from the full domain down.  The box of an a1 reaches the first non-bullet
+    cell to its right and the first one below it, so a region has at most one
+    tiling by boxes (_tiling); _db_parts pushes its parts with the boxes
+    inside them, so each box is checked once.  A straight cut of a slicing
+    partition leaves slicing partitions on both sides, so any cut keeps every
+    member.  A tiling alone would accept the pinwheel, which no straight cut
+    splits.  Nothing is copied, remembered or recursed into.
     """
     if p.is_empty:
         return True
@@ -251,4 +241,12 @@ def in_DB(p: Picture) -> bool:
         d = Domain(i, j, below // cols + 1, right % cols + 1)
         return d if _is_box(p, d) else None
 
-    return _tiled_top_down(p, tile, _db_parts)
+    regions = [(p.full_domain(), None)]
+    while regions:
+        region, tiles = regions.pop()
+        if tiles is None and (tiles := _tiling(region, tile)) is None:
+            return False
+        if (parts := _db_parts(region, tiles)) is None:
+            return False
+        regions += parts
+    return True

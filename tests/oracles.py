@@ -8,11 +8,14 @@ neutralizability by blind search over all rectangles, the greedy trace by a
 rescan of every rectangle after each rewrite, well-nestedness by
 a bottom-up closure over a finite universe of small pictures, and Chinese
 boxes by generating every member within bounds from the empty picture.
+The DW count is a weighted count of rectangle tilings of the half grid.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from math import comb
 
 from dyck2d.grid import Domain, N, Picture, empty_picture, hcat, subpicture, sym, vcat
 
@@ -322,3 +325,48 @@ def oracle_db_set(max_rows: int, max_cols: int) -> set:
         fresh = {p for p in grown if p.rows <= max_rows and p.cols <= max_cols} - members
         members |= fresh
     return {(p.rows, p.cols, p.cells) for p in members}
+
+
+def oracle_dw_count(rows: int, cols: int) -> int:
+    """The number of rows x cols DW pictures at k = 1 with mixed border indices.
+
+    A DW picture has exactly one tiling by accretions, and every accretion
+    is 2h x 2w, so the tilings are the rectangle tilings of the (rows/2) x
+    (cols/2) half grid.  A 1x1 tile is ab/cd; a 1xw or hx1 tile with w or h
+    above 1 would frame a core with a zero side, so it counts 0; any other
+    h x w tile has Cat(w-1) top borders, Cat(h-1) left borders and
+    DW(2h-2, 2w-2) cores.  A tiling is built by covering the first free cell
+    of the half grid, in row-major order, with every tile that fits there.
+    """
+
+    @lru_cache(maxsize=None)
+    def count(h_rows: int, h_cols: int) -> int:
+        full = (1 << (h_rows * h_cols)) - 1
+
+        @lru_cache(maxsize=None)
+        def fill(covered: int) -> int:
+            if covered == full:
+                return 1
+            top, left = divmod((~covered & (covered + 1)).bit_length() - 1, h_cols)
+            total = 0
+            for bottom in range(top, h_rows):
+                for right in range(left, h_cols):
+                    h, w = bottom - top + 1, right - left + 1
+                    row = ((1 << w) - 1) << left
+                    mask = sum(row << (r * h_cols) for r in range(top, bottom + 1))
+                    if mask & covered:
+                        break
+                    if h == w == 1:
+                        total += fill(covered | mask)
+                    elif h > 1 and w > 1:
+                        tile = _catalan(w - 1) * _catalan(h - 1) * count(h - 1, w - 1)
+                        total += tile * fill(covered | mask)
+            return total
+
+        return fill(0)
+
+    return count(rows // 2, cols // 2)
+
+
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)

@@ -24,7 +24,6 @@ from dyck2d.grid import (
     picture_from_json,
     picture_from_rows,
     render_picture,
-    simplot_partition,
     subpicture,
     sym,
     vcat,
@@ -235,61 +234,3 @@ class TestDomainSubpicture:
         p = homogeneous(sym("a", 1), 2, 3)
         assert render_picture(p) == "aaa\naaa"
         assert homogeneous(sym("a", 1), 0, 3).is_empty
-
-
-class TestSimplotPartition:
-    def test_smallest_domains_come_first(self):
-        p = parse_picture("ab\ncd")
-        parts = simplot_partition(p, lambda q: True)
-        assert parts == [Domain(i, j, i, j) for i in (1, 2) for j in (1, 2)]
-
-    def test_full_grid_partition(self):
-        p = parse_picture("ab\ncd")
-        full = lambda q: q.rows == 2 and q.cols == 2
-        assert simplot_partition(p, full) == [Domain(1, 1, 2, 2)]
-
-    def test_min_domains_rejects_full_grid(self):
-        p = parse_picture("ab\ncd")
-        full = lambda q: q.rows == 2 and q.cols == 2
-        assert simplot_partition(p, full, min_domains=2) is None
-
-    def test_partition_covers_and_is_disjoint(self):
-        p = homogeneous(sym("a", 1), 3, 4)
-        shapes = {(1, 1), (1, 2), (2, 1), (2, 2)}
-        parts = simplot_partition(p, lambda q: (q.rows, q.cols) in shapes)
-        covered = set()
-        for d in parts:
-            rect = {
-                (i, j)
-                for i in range(d.top, d.bottom + 1)
-                for j in range(d.left, d.right + 1)
-            }
-            assert not rect & covered
-            covered |= rect
-        assert len(covered) == 12
-
-    def test_partition_without_unit_tiles(self):
-        p = homogeneous(sym("a", 1), 3, 4)
-        shapes = {(1, 2), (2, 1), (2, 2)}
-        found = simplot_partition(p, lambda q: (q.rows, q.cols) in shapes)
-        assert found is not None
-        assert sum(d.rows * d.cols for d in found) == 12
-
-    def test_none_when_impossible(self):
-        p = homogeneous(sym("a", 1), 3, 3)
-        assert simplot_partition(p, lambda q: q.rows == 2 and q.cols == 2) is None
-
-    def test_content_sensitive_member(self):
-        p = parse_picture("ab\ncd")
-        member = lambda q: tuple(s.role for s in q.cells) in {("a", "b"), ("c", "d")}
-        parts = simplot_partition(p, member)
-        assert parts == [Domain(1, 1, 1, 2), Domain(2, 1, 2, 2)]
-
-    def test_empty_raises(self):
-        with pytest.raises(DomainOutOfBounds):
-            simplot_partition(empty_picture(), lambda q: True)
-
-    def test_long_row(self):
-        p = homogeneous(sym("a", 1), 1, 1200)
-        parts = simplot_partition(p, lambda q: True)
-        assert parts == [Domain(1, j, 1, j) for j in range(1, 1201)]

@@ -28,7 +28,7 @@ from dyck2d.grid import (
     sym,
     vcat,
 )
-from dyck2d.lab import census, enumerate_dc
+from dyck2d.lab import census, classify, enumerate_dc
 from dyck2d.wellnest import (
     Accretion,
     chinese_accretion,
@@ -37,7 +37,7 @@ from dyck2d.wellnest import (
     nesting_accretion,
 )
 
-from oracles import oracle_db_set, oracle_dw_set
+from oracles import oracle_db_set, oracle_dw_count, oracle_dw_set
 
 
 def pinwheel(north, east, south, west):
@@ -220,6 +220,28 @@ class TestInDW:
         assert sum(in_DW(p) for p in pictures) == mixed
         assert sum(in_DW(p, mixed_border_indices=False) for p in pictures) == uniform
 
+    # every even size up to 36 cells but the two slowest, 2x18 and 18x2
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(r, c) for r in range(2, 17, 2) for c in range(2, 17, 2) if r * c <= 36],
+    )
+    def test_counts_match_tiling_oracle(self, rows, cols):
+        assert census(rows, cols).counts["dw"] == oracle_dw_count(rows, cols)
+
+    @pytest.mark.parametrize(
+        "decide", [in_DW, lambda p: classify(p).in_dw], ids=["in_DW", "classify"]
+    )
+    def test_builds_no_domain(self, monkeypatch, decide):
+        # the scan claims rings in one bytearray: no region, tile or core Domain
+        grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
+        calls = []
+        post_init = Domain.__post_init__
+        monkeypatch.setattr(Domain, "__post_init__", lambda d: calls.append(d) or post_init(d))
+        for p in (grid, deep_nest(60)):
+            assert decide(p)
+        assert not calls, f"{len(calls)} Domains built"
+        assert Domain(1, 1, 2, 2) and len(calls) == 1  # the counter counts
+
     def test_pinwheel_of_accretions(self):
         block = parse_picture("ab\ncd")
         wide = nesting_accretion(Accretion(1, parse_word("abab"), parse_word("ac"), hcat(block, block)))
@@ -286,7 +308,7 @@ class TestFrame:
 
 
 class TestTiledTopDown:
-    """The row-major scan alone, on stand-in tiles: a cell not listed is its own 1x1 tile."""
+    """_tiling alone, on stand-in tiles: a cell not listed is its own 1x1 tile."""
 
     @pytest.mark.parametrize(
         "listed, tiles",
@@ -300,18 +322,12 @@ class TestTiledTopDown:
         ],
     )
     def test_scan(self, listed, tiles):
-        seen = []
-
         def tile(i, j):
             d = listed.get((i, j), (i, j, i, j))
             return d and Domain(*d)
 
-        def parts(region, found):
-            seen.append([d.as_tuple() for d in found])
-            return []
-
-        assert wellnest._tiled_top_down(parse_picture("ab\ncd"), tile, parts) == (tiles is not None)
-        assert seen == ([] if tiles is None else [tiles])
+        found = wellnest._tiling(Domain(1, 1, 2, 2), tile)
+        assert (found and [d.as_tuple() for d in found]) == tiles
 
 
 class TestMemo:
@@ -414,6 +430,18 @@ class TestChineseBoxes:
         assert decide(grid)
         assert not calls, f"{len(calls)} Symbol comparisons or hashes"
         assert grid.cells[0] == grid.cells[2] and len(calls) == 1  # the counter counts
+
+    @pytest.mark.parametrize("decide", [in_DB, in_DW])
+    def test_no_domain_extent_properties(self, monkeypatch, decide):
+        # tile extents come from as_tuple(): Domain.rows and Domain.cols are never read
+        grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
+        calls = []
+        for name in ("rows", "cols"):
+            get = getattr(Domain, name).fget
+            monkeypatch.setattr(Domain, name, property(lambda d, g=get: calls.append(g) or g(d)))
+        assert decide(grid)
+        assert not calls, f"{len(calls)} Domain.rows/cols reads"
+        assert Domain(1, 1, 2, 3).cols == 3 and len(calls) == 1  # the counter counts
 
     def test_one_tile_parts_skip_the_worklist(self, monkeypatch):
         # 40x40 grid of ab/cd: the full domain, then its 20 column strips; the
