@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, pairwise
-from operator import attrgetter
-from typing import Callable
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .crossword import _crossword_matching
 from .dyck1d import COL, ROW, Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
-from .grid import BULLET, BULLET_SYM, NEUTRAL, Domain, Picture, picture_from_rows, sym
-
-_TOP, _LEFT, _BOTTOM, _RIGHT = map(attrgetter, ("top", "left", "bottom", "right"))
+from .grid import BULLET, BULLET_SYM, NEUTRAL, Picture, picture_from_rows, sym
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,35 +78,6 @@ def _is_frame(p: Picture, row: list[int], col: list[int], a: int, mixed: bool) -
     )
 
 
-def _cores(tiles: list[Domain]) -> list[tuple[Domain, None]]:
-    """The core of every tile larger than 2x2, to be tiled afresh."""
-    boxes = map(Domain.as_tuple, tiles)
-    return [(Domain(t + 1, l + 1, b - 1, r - 1), None) for t, l, b, r in boxes if b - t > 1]
-
-
-def _tiling(region: Domain, tile: Callable) -> list[Domain] | None:
-    """The tiles of region found by one row-major scan, or None.
-
-    Each uncovered cell anchors tile(i, j), its one tile or None, which must
-    stay in the region and miss the covered cells of its top row: a tile
-    anchored earlier can reach it only through that row.
-    """
-    top, left, bottom, right = region.as_tuple()
-    width = right - left + 1
-    covered, tiles, x = bytearray((bottom - top + 1) * width), [], 0
-    while (x := covered.find(0, x)) >= 0:
-        if (d := tile(top + x // width, left + x % width)) is None:
-            return None
-        t, l, b, r = d.as_tuple()
-        ones = b"\1" * (r - l + 1)
-        if b > bottom or r > right or 1 in covered[x : x + len(ones)]:
-            return None
-        for y in range(x, x + (b - t + 1) * width, width):
-            covered[y : y + len(ones)] = ones
-        tiles.append(d)
-    return tiles
-
-
 def _well_nested(p: Picture, row: list[int], col: list[int], mixed: bool = True) -> bool:
     """DW membership of the crossword p, given its row and column partner lists.
 
@@ -151,9 +118,10 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
     """
     if p.is_empty:
         return True
-    if not all(s.is_corner for s in p.cells):
+    try:
+        match = _crossword_matching(p)
+    except ContainsNeutral:
         return False
-    match = _crossword_matching(p)
     return match is not None and _well_nested(p, *match, mixed_border_indices)
 
 
@@ -167,86 +135,92 @@ def chinese_accretion(p: Picture) -> Picture:
     return picture_from_rows([[a, *rule, b], *middle, [c, *rule, d]], max(p.k, 1) if p.rows else 1)
 
 
-def _is_box(p: Picture, d: Domain) -> bool:
-    """Whether the border of d in p is a Chinese box frame.
+def _box(p: Picture, roles: str, a: int, bottom: int, right: int) -> tuple | None:
+    """The Chinese box of the a1 at flat position a, 0-based (top, left, bottom, right), or None.
 
-    d is the box of the a1 at its top-left corner, so its top row and left
-    column are bullets between the corners; the rest is read here.
+    roles holds the role of each cell of p.  A box's top row and left column
+    are bullets between its corners, so its top-right corner is the first
+    non-bullet cell right of a and its bottom-left corner the first one below
+    a.  Both searches stop at the region's edge (column right, row bottom), so
+    a box never leaves its region.  The frame is read by slice comparisons:
+    the rest of the border is bullets, the corners are a1 b1 c1 d1, and the
+    box is 2x2 or both its sides are longer.
     """
     cells, cols = p.cells, p.cols
-    top, left, bottom, right = (x - 1 for x in d.as_tuple())
-    corners = (cells[top * cols + right], cells[bottom * cols + left], cells[bottom * cols + right])
-    sides = chain(
-        cells[bottom * cols + left + 1 : bottom * cols + right],
-        cells[(top + 1) * cols + right : bottom * cols + right : cols],
+    top, left = divmod(a, cols)
+    across = roles[a + 1 : top * cols + right + 1]
+    down = roles[a + cols : bottom * cols + left + 1 : cols]
+    w, h = len(across) - len(across.lstrip(BULLET)), len(down) - len(down.lstrip(BULLET))
+    if roles[a] != "a" or w == len(across) or h == len(down) or (w == 0) != (h == 0):
+        return None
+    b, c = a + w + 1, a + (h + 1) * cols
+    d = c + w + 1
+    framed = (
+        roles[c : d + 1] == f"c{BULLET * w}d"
+        and roles[b : d + 1 : cols] == f"b{BULLET * h}d"
+        and cells[a].index == cells[b].index == cells[c].index == cells[d].index == 1
     )
-    framed = [(s.role, s.index) for s in corners] == [("b", 1), ("c", 1), ("d", 1)]
-    square = (bottom - top == 1) == (right - left == 1)
-    return framed and square and all(s.role == BULLET for s in sides)
+    return (top, left, top + h + 1, left + w + 1) if framed else None
 
 
-def _db_parts(region: Domain, tiles: list[Domain]) -> list[tuple] | None:
-    """The (region, tiles) pairs to decide once region is tiled by Chinese boxes.
+def _tiling(p: Picture, roles: str, top: int, left: int, bottom: int, right: int) -> list | None:
+    """The boxes tiling the 0-based region (top, left, bottom, right) of p, or None.
 
-    One tile leaves its core, to be tiled afresh.  Several leave the parts
-    between the column boundaries that no tile crosses, else between such
-    row boundaries, and None when every boundary is crossed.  A part holding
-    one tile is that tile and leaves its core at once; any other part comes
-    with the tiles inside it.
+    One row-major scan: each uncovered cell anchors its one _box, which must
+    miss the covered cells of its top row, the only way in for a box anchored earlier.
     """
-    if len(tiles) == 1:
-        return _cores(tiles)
-    top, left, bottom, right = region.as_tuple()
-    for first, last, start, end, part in (
-        (_LEFT, _RIGHT, left, right, lambda a, b: Domain(top, a, bottom, b)),
-        (_TOP, _BOTTOM, top, bottom, lambda a, b: Domain(a, left, b, right)),
-    ):
-        cuts = sorted(set(range(start, end)).difference(*(range(first(d), last(d)) for d in tiles)))
-        if cuts:
-            inside = [[] for _ in range(len(cuts) + 1)]
-            for d in tiles:
-                inside[bisect_left(cuts, first(d))].append(d)
-            bounds = pairwise([start - 1, *cuts, end])
-            parts = []
-            for (a, b), ds in zip(bounds, inside):
-                parts += _cores(ds) if len(ds) == 1 else [(part(a + 1, b), ds)]
-            return parts
-    return None
+    cols, width = p.cols, right - left + 1
+    covered, tiles, x = bytearray((bottom - top + 1) * width), [], 0
+    while (x := covered.find(0, x)) >= 0:
+        a = (top + x // width) * cols + left + x % width
+        if (box := _box(p, roles, a, bottom, right)) is None:
+            return None
+        t, l, b, r = box
+        ones = b"\1" * (r - l + 1)
+        if 1 in covered[x : x + len(ones)]:
+            return None
+        for y in range(x, x + (b - t + 1) * width, width):
+            covered[y : y + len(ones)] = ones
+        tiles.append(box)
+    return tiles
 
 
 def in_DB(p: Picture) -> bool:
     """Chinese-boxes membership: accretion plus horizontal and vertical concatenation.
 
-    Decided over index domains of p by a worklist of (region, tiles) pairs,
-    from the full domain down.  The box of an a1 reaches the first non-bullet
-    cell to its right and the first one below it, so a region has at most one
-    tiling by boxes (_tiling); _db_parts pushes its parts with the boxes
-    inside them, so each box is checked once.  A straight cut of a slicing
-    partition leaves slicing partitions on both sides, so any cut keeps every
-    member.  A tiling alone would accept the pinwheel, which no straight cut
-    splits.  Nothing is copied, remembered or recursed into.
+    A worklist of box lists over one string of the roles of p, from a virtual
+    frame whose core is p.  One box has its core tiled afresh (_tiling);
+    several are cut where their merged column intervals leave a gap, else
+    where their merged row intervals do, and with no straight cut the picture
+    is rejected.  A straight cut of a concatenation leaves concatenations on
+    both sides, so any cut keeps every member; a tiling alone would accept
+    the pinwheel, which no straight cut splits.  Each box is framed once, and
+    nothing is copied, remembered or recursed into.
     """
     if p.is_empty:
         return True
-    cells, cols, n = p.cells, p.cols, len(p.cells)
-
-    def tile(i: int, j: int) -> Domain | None:
-        a = (i - 1) * cols + j - 1
-        if cells[a].role != "a" or cells[a].index != 1:
-            return None
-        right = next((x for x in range(a + 1, i * cols) if cells[x].role != BULLET), None)
-        below = next((x for x in range(a + cols, n, cols) if cells[x].role != BULLET), None)
-        if right is None or below is None:
-            return None
-        d = Domain(i, j, below // cols + 1, right % cols + 1)
-        return d if _is_box(p, d) else None
-
-    regions = [(p.full_domain(), None)]
-    while regions:
-        region, tiles = regions.pop()
-        if tiles is None and (tiles := _tiling(region, tile)) is None:
+    roles = "".join(map(attrgetter("role"), p.cells))
+    work = [[(-1, -1, p.rows, p.cols)]]
+    while work:
+        tiles = work.pop()
+        if len(tiles) == 1:
+            top, left, bottom, right = tiles[0]
+            if bottom - top > 1:
+                if (core := _tiling(p, roles, top + 1, left + 1, bottom - 1, right - 1)) is None:
+                    return False
+                work.append(core)
+            continue
+        for first, last in ((1, 3), (0, 2)):  # column cuts, then row cuts
+            tiles.sort(key=itemgetter(first))
+            parts, reach = [], -1
+            for box in tiles:
+                if box[first] > reach:
+                    parts.append([])
+                parts[-1].append(box)
+                reach = max(reach, box[last])
+            if len(parts) > 1:
+                work += parts
+                break
+        else:
             return False
-        if (parts := _db_parts(region, tiles)) is None:
-            return False
-        regions += parts
     return True

@@ -8,11 +8,13 @@ neutralizability by blind search over all rectangles, the greedy trace by a
 rescan of every rectangle after each rewrite, well-nestedness by
 a bottom-up closure over a finite universe of small pictures, and Chinese
 boxes by generating every member within bounds from the empty picture.
-The DW count is a weighted count of rectangle tilings of the half grid.
+The DW count is a weighted count of rectangle tilings of the half grid, and
+the DC count a row-by-row transfer over the tuple of column stacks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -366,6 +368,49 @@ def oracle_dw_count(rows: int, cols: int) -> int:
         return fill(0)
 
     return count(rows // 2, cols // 2)
+
+
+def oracle_dc_count(rows: int, cols: int) -> int:
+    """The number of rows x cols DC pictures at k = 1, with no picture built.
+
+    Each cell opens or closes its row and its column: a opens both, b closes
+    the row over an a, c closes the column over an a, d closes both over a c
+    in the row and a b in the column.  The count goes row by row over the
+    tuple of column stacks, each the roles of the open cells of its column.
+    A row is filled cell by cell from each tuple, with a row stack; no stack
+    may grow deeper than the cells left in its line, so every stack ends empty.
+    """
+    if rows % 2 or cols % 2 or rows <= 0 or cols <= 0:
+        return 0
+
+    def next_stacks(stacks: tuple, below: int):
+        out = []
+
+        def fill(j: int, row: str, made: tuple) -> None:
+            if j == cols:
+                out.append(made)
+                return
+            col, right = stacks[j], cols - 1 - j
+            if len(row) < right and len(col) < below:
+                fill(j + 1, row + "a", made + (col + "a",))
+            if row.endswith("a") and len(col) < below:
+                fill(j + 1, row[:-1], made + (col + "b",))
+            if len(row) < right and col.endswith("a"):
+                fill(j + 1, row + "c", made + (col[:-1],))
+            if row.endswith("c") and col.endswith("b"):
+                fill(j + 1, row[:-1], made + (col[:-1],))
+
+        fill(0, "", ())
+        return out
+
+    states = Counter({("",) * cols: 1})
+    for i in range(rows):
+        following = Counter()
+        for stacks, ways in states.items():
+            for made in next_stacks(stacks, rows - 1 - i):
+                following[made] += ways
+        states = following
+    return sum(states.values())
 
 
 def _catalan(n: int) -> int:

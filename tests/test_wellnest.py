@@ -37,7 +37,7 @@ from dyck2d.wellnest import (
     nesting_accretion,
 )
 
-from oracles import oracle_db_set, oracle_dw_count, oracle_dw_set
+from oracles import oracle_db_set, oracle_dc_count, oracle_dw_count, oracle_dw_set
 
 
 def pinwheel(north, east, south, west):
@@ -226,21 +226,36 @@ class TestInDW:
         [(r, c) for r in range(2, 17, 2) for c in range(2, 17, 2) if r * c <= 36],
     )
     def test_counts_match_tiling_oracle(self, rows, cols):
-        assert census(rows, cols).counts["dw"] == oracle_dw_count(rows, cols)
+        counts = census(rows, cols).counts
+        assert counts["dw"] == oracle_dw_count(rows, cols)
+        assert counts["dc"] == oracle_dc_count(rows, cols)
 
     @pytest.mark.parametrize(
-        "decide", [in_DW, lambda p: classify(p).in_dw], ids=["in_DW", "classify"]
+        "decide, nest",
+        [(in_DW, deep_nest), (lambda p: classify(p).in_dw, deep_nest), (in_DB, chinese_nest)],
+        ids=["in_DW", "classify", "in_DB"],
     )
-    def test_builds_no_domain(self, monkeypatch, decide):
-        # the scan claims rings in one bytearray: no region, tile or core Domain
+    def test_builds_no_domain(self, monkeypatch, decide, nest):
+        # DW claims rings in one bytearray and DB keeps box tuples: no region, tile or core Domain
         grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
+        pictures = (grid, nest(60))
         calls = []
         post_init = Domain.__post_init__
         monkeypatch.setattr(Domain, "__post_init__", lambda d: calls.append(d) or post_init(d))
-        for p in (grid, deep_nest(60)):
+        for p in pictures:
             assert decide(p)
         assert not calls, f"{len(calls)} Domains built"
         assert Domain(1, 1, 2, 2) and len(calls) == 1  # the counter counts
+
+    def test_reads_no_is_corner(self, monkeypatch):
+        # the crossword matching rejects neutral and bullet cells: no separate corner pass
+        p = deep_nest(60)
+        calls = []
+        get = Symbol.is_corner.fget
+        monkeypatch.setattr(Symbol, "is_corner", property(lambda s: calls.append(s) or get(s)))
+        assert in_DW(p)
+        assert not calls, f"{len(calls)} Symbol.is_corner reads"
+        assert p.cells[0].is_corner and len(calls) == 1  # the counter counts
 
     def test_pinwheel_of_accretions(self):
         block = parse_picture("ab\ncd")
@@ -308,26 +323,43 @@ class TestFrame:
 
 
 class TestTiledTopDown:
-    """_tiling alone, on stand-in tiles: a cell not listed is its own 1x1 tile."""
+    """_tiling of the top-left 2x2 region of a 3x3 picture, on stand-in boxes.
+
+    A cell not listed is its own 1x1 box.  Like _box, the stand-in finds no
+    box past the region's edge that _tiling hands it.
+    """
 
     @pytest.mark.parametrize(
         "listed, tiles",
         [
-            ({}, [(1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)]),
-            ({(1, 1): (1, 1, 2, 1), (1, 2): (1, 2, 2, 2)}, [(1, 1, 2, 1), (1, 2, 2, 2)]),
-            ({(1, 2): None}, None),
-            ({(1, 1): (1, 1, 1, 3)}, None),  # leaves the region on the right
-            ({(1, 1): (1, 1, 3, 1)}, None),  # leaves the region at the bottom
-            ({(1, 2): (1, 2, 2, 2), (2, 1): (2, 1, 2, 2)}, None),  # its top row meets a tile
+            ({}, [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)]),
+            ({(0, 0): (0, 0, 1, 0), (0, 1): (0, 1, 1, 1)}, [(0, 0, 1, 0), (0, 1, 1, 1)]),
+            ({(0, 1): None}, None),
+            ({(0, 0): (0, 0, 0, 2)}, None),  # leaves the region on the right
+            ({(0, 0): (0, 0, 2, 0)}, None),  # leaves the region at the bottom
+            ({(0, 1): (0, 1, 1, 1), (1, 0): (1, 0, 1, 1)}, None),  # its top row meets a box
         ],
     )
-    def test_scan(self, listed, tiles):
-        def tile(i, j):
+    def test_scan(self, monkeypatch, listed, tiles):
+        def box(p, roles, a, bottom, right):
+            i, j = divmod(a, p.cols)
             d = listed.get((i, j), (i, j, i, j))
-            return d and Domain(*d)
+            return d if d and d[2] <= bottom and d[3] <= right else None
 
-        found = wellnest._tiling(Domain(1, 1, 2, 2), tile)
-        assert (found and [d.as_tuple() for d in found]) == tiles
+        p = parse_picture("***\n***\n***")
+        monkeypatch.setattr(wellnest, "_box", box)
+        assert wellnest._tiling(p, "•" * 9, 0, 0, 1, 1) == tiles
+
+    @pytest.mark.parametrize(
+        "bottom, right, box",
+        [(3, 3, (0, 0, 3, 3)), (3, 2, None), (2, 3, None)],
+        ids=["whole", "clipped-right", "clipped-bottom"],
+    )
+    def test_box_stops_at_region_edge(self, bottom, right, box):
+        # the 4x4 box at the top left of a 4x6 picture, seen from regions cut short of it
+        p = hcat(chinese_accretion(parse_picture("ab\ncd")), parse_picture("ab\n**\n**\ncd"))
+        roles = "".join(s.role for s in p.cells)
+        assert wellnest._box(p, roles, 0, bottom, right) == box
 
 
 class TestMemo:
@@ -375,6 +407,14 @@ class TestChineseBoxes:
     def test_empty(self):
         assert in_DB(empty_picture())
 
+    def test_corners_need_index_one(self):
+        box = chinese_accretion(parse_picture("ab\ncd"))
+        assert in_DB(Picture(4, 4, 2, box.cells))
+        for x, s in enumerate(box.cells):
+            if s.is_corner:
+                cells = box.cells[:x] + (sym(s.role, 2),) + box.cells[x + 1 :]
+                assert not in_DB(Picture(4, 4, 2, cells)), x
+
     def test_pinwheel_has_no_guillotine_cut(self):
         block = parse_picture("ab\ncd")
         wide, tall = chinese_accretion(hcat(block, block)), chinese_accretion(vcat(block, block))
@@ -414,8 +454,10 @@ class TestChineseBoxes:
             box = chinese_accretion(box)
         grid = vcat(*[hcat(*[box] * side)] * side)
         calls = []
-        is_box = wellnest._is_box
-        monkeypatch.setattr(wellnest, "_is_box", lambda p, d: calls.append(d) or is_box(p, d))
+        find = wellnest._box
+        monkeypatch.setattr(
+            wellnest, "_box", lambda p, roles, a, *edge: calls.append(a) or find(p, roles, a, *edge)
+        )
         assert in_DB(grid)
         assert len(calls) == len(set(calls)) == boxes
 
@@ -443,15 +485,21 @@ class TestChineseBoxes:
         assert not calls, f"{len(calls)} Domain.rows/cols reads"
         assert Domain(1, 1, 2, 3).cols == 3 and len(calls) == 1  # the counter counts
 
-    def test_one_tile_parts_skip_the_worklist(self, monkeypatch):
-        # 40x40 grid of ab/cd: the full domain, then its 20 column strips; the
-        # 400 one-box parts go straight to their (empty) cores
-        grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
+    def test_each_core_tiled_once(self, monkeypatch):
+        # only the picture and the cores of boxes larger than 2x2 are tiled:
+        # once for a 40x40 grid of ab/cd, 1 + 9 times for a 3x3 grid of nested boxes
+        ab = parse_picture("ab\ncd")
+        nested = chinese_accretion(ab)
+        grids = [vcat(*[hcat(*[box] * n)] * n) for box, n in ((ab, 20), (nested, 3))]
         calls = []
-        db_parts = wellnest._db_parts
-        monkeypatch.setattr(wellnest, "_db_parts", lambda r, ts: calls.append(r) or db_parts(r, ts))
-        assert in_DB(grid)
-        assert len(calls) == 21
+        tiling = wellnest._tiling
+        monkeypatch.setattr(wellnest, "_tiling", lambda *args: calls.append(args) or tiling(*args))
+        counts = []
+        for grid in grids:
+            calls.clear()
+            assert in_DB(grid)
+            counts.append(len(calls))
+        assert counts == [1, 10]
 
     def test_chinese_nest_is_iterated_accretion(self):
         p = empty_picture()
@@ -471,8 +519,10 @@ class TestChineseBoxes:
             "nest = chinese_nest(240)\n"
             "grid = vcat(*[hcat(*[chinese_accretion(box)] * 20)] * 20)\n"
             "broken = Picture(80, 80, 1, grid.cells[:-1] + (sym('b', 1),))\n"
+            "blocks = vcat(*[hcat(*[box] * 200)] * 200)\n"
             "sys.setrecursionlimit(60)\n"
-            "for p, member in ((strip, True), (nest, True), (grid, True), (broken, False)):\n"
+            "cases = ((strip, True), (nest, True), (grid, True), (broken, False), (blocks, True))\n"
+            "for p, member in cases:\n"
             "    start = time.perf_counter()\n"
             "    assert in_DB(p) == member, (p.rows, p.cols)\n"
             "    assert time.perf_counter() - start < 1.0, (p.rows, p.cols)\n"
