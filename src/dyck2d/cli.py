@@ -19,12 +19,13 @@ EXIT_INPUT_ERROR = 2
 
 
 def _read_picture(path: str, k: int):
+    """The picture in a file or on stdin; one leading UTF-8 byte order mark is not a cell."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    return parse_picture(text, k)
+    return parse_picture(text.removeprefix("\ufeff"), k)
 
 
 def _cmd_classify(args) -> int:

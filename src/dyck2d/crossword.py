@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, eq
+from typing import Sequence
 
 from .dyck1d import _COL_CLOSE, _ROW_CLOSE, _stack_match
 from .errors import ContainsNeutral, DegreeViolation, NotInDC
@@ -24,16 +25,42 @@ _PALETTE = (
 
 @dataclass(frozen=True, slots=True)
 class MatchingGraph:
-    """Row and column match edges laid on the picture grid."""
+    """Row and column match edges laid on the picture grid, held as two partner lists.
+
+    row_of[x] and col_of[x] are the row and the column partner of the node at
+    flat position x = (i - 1) * cols + j - 1; the edge sets are views of them.
+    Raises DegreeViolation unless the picture has the graph's size and each
+    list pairs every node of the grid with exactly one other node.
+    """
 
     rows: int
     cols: int
-    row_edges: frozenset[Edge]
-    col_edges: frozenset[Edge]
+    row_of: tuple[int, ...]
+    col_of: tuple[int, ...]
     picture: Picture
 
-    def label(self, pos: Pos) -> Symbol:
-        return self.picture.cell(*pos)
+    def __post_init__(self) -> None:
+        n, p = self.rows * self.cols, self.picture
+        if (p.rows, p.cols) != (self.rows, self.cols):
+            raise DegreeViolation(f"{self.rows}x{self.cols} graph on a {p.rows}x{p.cols} picture")
+        for partner, kind in ((self.row_of, "row"), (self.col_of, "column")):
+            if len(partner) != n:
+                raise DegreeViolation(f"{len(partner)} {kind} partners for {n} nodes")
+            # the range check comes first, so no entry is used as an index before it is a node
+            if n and (min(partner) < 0 or max(partner) >= n):
+                raise DegreeViolation(f"{kind} partner off the grid")
+            if any(map(eq, partner, range(n))):
+                raise DegreeViolation(f"node is its own {kind} partner")
+            if not all(map(eq, map(partner.__getitem__, partner), range(n))):
+                raise DegreeViolation(f"{kind} partners do not pair the nodes")
+
+    @property
+    def row_edges(self) -> frozenset[Edge]:
+        return frozenset(_edges(self.row_of, _positions(self.rows, self.cols)))
+
+    @property
+    def col_edges(self) -> frozenset[Edge]:
+        return frozenset(_edges(self.col_of, _positions(self.rows, self.cols)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +123,11 @@ def _positions(rows: int, cols: int) -> list[Pos]:
     return [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
 
 
+def _edges(partner: Sequence[int], table: list[Pos]) -> list[Edge]:
+    """The pairs (table[x], table[y]) of a partner list with x < y; a row-major pass sorts them."""
+    return [(table[x], table[y]) for x, y in enumerate(partner) if x < y]
+
+
 def _match_or_raise(p: Picture) -> tuple[list[int], list[int]]:
     match = _crossword_matching(p)
     if match is None:
@@ -104,13 +136,9 @@ def _match_or_raise(p: Picture) -> tuple[list[int], list[int]]:
 
 
 def matching_graph(p: Picture) -> MatchingGraph:
-    """The row and column match edges of a crossword; NotInDC off crosswords."""
-    table = _positions(p.rows, p.cols)
-    row_edges, col_edges = (
-        frozenset([(table[x], table[y]) for x, y in enumerate(m) if x < y])
-        for m in _match_or_raise(p)
-    )
-    return MatchingGraph(p.rows, p.cols, row_edges, col_edges, p)
+    """The row and column partner lists of a crossword; NotInDC off crosswords."""
+    row, col = _match_or_raise(p)
+    return MatchingGraph(p.rows, p.cols, tuple(row), tuple(col), p)
 
 
 def _rectangles(p: Picture, row: list[int], col: list[int]) -> tuple[list, list]:
@@ -131,43 +159,7 @@ def _rectangles(p: Picture, row: list[int], col: list[int]) -> tuple[list, list]
     return rects, owner
 
 
-def _graph_partners(g: MatchingGraph) -> tuple[list[int], list[int]]:
-    """The row and the column partner of each flat position of g's grid.
-
-    Raises DegreeViolation unless every node of the grid has exactly one row
-    edge and one column edge and no edge leaves the grid.  The first node met
-    twice, in the order of the edge sets, is the one named.
-    """
-    rows, cols, n = g.rows, g.cols, g.rows * g.cols
-    out, outside = [], False
-    for edges, kind in ((g.row_edges, "row"), (g.col_edges, "column")):
-        partner: list = [None] * n
-        slot: dict[Pos, int] = {}  # the nodes off the grid, at places past its n cells
-        for u, v in edges:
-            (i, j), (k, l) = u, v
-            if 0 < i <= rows and 0 < j <= cols and 0 < k <= rows and 0 < l <= cols:
-                x, y = (i - 1) * cols + j - 1, (k - 1) * cols + l - 1
-            else:
-                x, y = (
-                    (r - 1) * cols + c - 1 if 0 < r <= rows and 0 < c <= cols
-                    else slot.setdefault((r, c), n + len(slot))
-                    for r, c in (u, v)
-                )
-                partner += [None] * (n + len(slot) - len(partner))
-            if partner[x] is not None:
-                raise DegreeViolation(f"two {kind} edges at {u}")
-            partner[x] = y
-            if partner[y] is not None:
-                raise DegreeViolation(f"two {kind} edges at {v}")
-            partner[y] = x
-        outside = outside or bool(slot)
-        out.append(partner)
-    if outside or None in out[0] or None in out[1]:
-        raise DegreeViolation("node without both a row and a column edge")
-    return out[0], out[1]
-
-
-def _walk(cells: tuple, cols: int, row_of: list[int], col_of: list[int]) -> list[list[int]]:
+def _walk(cells: tuple, cols: int, row_of: Sequence[int], col_of: Sequence[int]) -> list[list[int]]:
     """The circuits of two partner lists, as flat positions.
 
     A circuit starts at each a not yet seen, in row-major order, and follows
@@ -211,22 +203,20 @@ def circuits(g: MatchingGraph) -> list[Circuit]:
     """Partition of the grid into simple circuits, sorted by their start.
 
     Each circuit starts at its lexicographically smallest a-labeled node and
-    follows the row edge first, so labels always read (a b d c)^+.  The edge
-    sets become one row and one column partner list over flat positions,
-    checked for one row and one column edge per node (DegreeViolation), and
-    one walk over those lists yields the circuits.
+    follows the row edge first, so labels always read (a b d c)^+.  One walk
+    over g's two partner lists yields the circuits; it raises DegreeViolation
+    unless they partition the nodes and each reads that law with one index.
     """
     cells, table = g.picture.cells, _positions(g.rows, g.cols)
-    return [_circuit(c, table, cells) for c in _walk(cells, g.cols, *_graph_partners(g))]
+    return [_circuit(c, table, cells) for c in _walk(cells, g.cols, g.row_of, g.col_of)]
 
 
 def picture_circuits(p: Picture) -> list[Circuit]:
-    """circuits(matching_graph(p)), walked off the flat matching with no graph built.
+    """circuits(matching_graph(p)).
 
     NotInDC off crosswords, ContainsNeutral on a neutral or bullet cell.
     """
-    table = _positions(p.rows, p.cols)
-    return [_circuit(c, table, p.cells) for c in _walk(p.cells, p.cols, *_match_or_raise(p))]
+    return circuits(matching_graph(p))
 
 
 def is_quaternate(p: Picture) -> bool:
@@ -241,7 +231,7 @@ def is_quaternate(p: Picture) -> bool:
 def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[str], list[list[int]]]:
     """Per flat position its node, label text and circuit colour, and the circuits."""
     cells, table = g.picture.cells, _positions(g.rows, g.cols)
-    circs = _walk(cells, g.cols, *_graph_partners(g))
+    circs = _walk(cells, g.cols, g.row_of, g.col_of)
     color = [""] * len(cells)
     for n, c in enumerate(circs):
         for x in c:
@@ -254,20 +244,20 @@ def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[str], li
 def graph_to_dot(g: MatchingGraph) -> str:
     """DOT export: row edges solid, column edges dashed, one color per circuit.
 
-    Nodes come in row-major order and edges sorted; DegreeViolation as for circuits.
+    Nodes in row-major order, and edges sorted as one row-major pass over each
+    partner list reads them; DegreeViolation as for circuits.
     """
     table, labels, color, _ = _export_parts(g)
-    cols = g.cols
+    names = [f'"{i},{j}"' for i, j in table]
     lines = ["graph matching {", "  node [shape=circle];"]
     lines += [
-        f'  "{i},{j}" [label="{label}", color="{c}"];'
-        for (i, j), label, c in zip(table, labels, color)
+        f'  {name} [label="{label}", color="{c}"];' for name, label, c in zip(names, labels, color)
     ]
-    for edges, style in ((g.row_edges, "solid"), (g.col_edges, "dashed")):
+    for partner, style in ((g.row_of, "solid"), (g.col_of, "dashed")):
         lines += [
-            f'  "{u[0]},{u[1]}" -- "{v[0]},{v[1]}"'
-            f' [style={style}, color="{color[(u[0] - 1) * cols + u[1] - 1]}"];'
-            for u, v in sorted(edges)
+            f'  {names[x]} -- {names[y]} [style={style}, color="{color[x]}"];'
+            for x, y in enumerate(partner)
+            if x < y
         ]
     lines.append("}")
     return "\n".join(lines)
@@ -276,15 +266,15 @@ def graph_to_dot(g: MatchingGraph) -> str:
 def graph_to_json(g: MatchingGraph) -> str:
     """JSON export: nodes in row-major order, sorted edges, circuits sorted by start.
 
-    DegreeViolation as for circuits.
+    The edges are read off the partner lists as for DOT; DegreeViolation as for circuits.
     """
     table, labels, _, circs = _export_parts(g)
     obj = {
         "rows": g.rows,
         "cols": g.cols,
         "nodes": [(i, j, label) for (i, j), label in zip(table, labels)],
-        "row_edges": sorted(g.row_edges),
-        "col_edges": sorted(g.col_edges),
+        "row_edges": _edges(g.row_of, table),
+        "col_edges": _edges(g.col_of, table),
         "circuits": [
             {"nodes": [table[x] for x in c], "label": _CIRCUIT_ROLE_ORDER * (len(c) // 4)}
             for c in circs

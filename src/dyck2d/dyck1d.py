@@ -36,15 +36,9 @@ class Pairing:
     def _close_map(self) -> dict[str, str]:
         return _ROW_CLOSE if self.kind == "Row" else _COL_CLOSE
 
-    def is_open(self, s: Symbol) -> bool:
-        return s.role in self._close_map
-
     def close_of(self, s: Symbol) -> Symbol:
         """The closing symbol matching an opening one."""
         return sym(self._close_map[s.role], s.index)
-
-    def matches(self, open_: Symbol, close: Symbol) -> bool:
-        return self.is_open(open_) and self.close_of(open_) == close
 
 
 ROW = Pairing("Row", 1)

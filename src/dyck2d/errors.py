@@ -50,9 +50,12 @@ class NotInDC(Dyck2dError):
 
 
 class DegreeViolation(Dyck2dError):
-    """Matching graph node without exactly one row and one column edge.
+    """Matching graph that breaks the matching-graph laws.
 
-    Cannot occur for graphs built from crossword pictures; signals a bug.
+    Raised when a MatchingGraph is built by hand from partner lists that do
+    not pair every node with exactly one other node, or when its circuits
+    are not simple, not a partition of the nodes, or not (a b d c)^+ with
+    one index.  Cannot occur for graphs built from crossword pictures.
     """
 
 

@@ -133,11 +133,6 @@ class Picture:
     def col_word(self, j: int) -> tuple[Symbol, ...]:
         return self.cells[j - 1 :: self.cols] if self.cols else ()
 
-    def full_domain(self) -> Domain:
-        if self.is_empty:
-            raise DomainOutOfBounds("empty picture has no domain")
-        return Domain(1, 1, self.rows, self.cols)
-
 
 def empty_picture(k: int = 1) -> Picture:
     return Picture(0, 0, k, ())
@@ -198,8 +193,10 @@ def parse_picture(text: str, k: int = 1) -> Picture:
     "*"/"•" accepted); for k>1 cells are whitespace-separated tokens like "a2".
     At k=1 each token is looked up in one table of those characters; any
     other token goes through _parse_token, which raises UnknownToken or
-    IndexOutOfRange on a bad one.
+    IndexOutOfRange on a bad one.  InvalidArgument when k < 1.
     """
+    if k < 1:
+        raise InvalidArgument(f"a picture needs k >= 1, not {k}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return empty_picture(k)
@@ -282,10 +279,3 @@ def subpicture(p: Picture, d: Domain) -> Picture:
         for j in range(d.left, d.right + 1)
     )
     return Picture(d.rows, d.cols, p.k, cells)
-
-
-def homogeneous(s: Symbol, rows: int, cols: int, k: int = 1) -> Picture:
-    if rows == 0 or cols == 0:
-        return empty_picture(k)
-    return Picture(rows, cols, k, (s,) * (rows * cols))
-

@@ -48,10 +48,30 @@ class TestClassify:
         assert main(["classify", "--k", "2", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark(self, tmp_path, monkeypatch, capsys, source):
+        # a leading BOM marks the file's encoding; the picture is the same without it
+        def run(text):
+            if source == "stdin":
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                return main(["classify", "--expect", "dw", "-"]), capsys.readouterr()
+            return main(["classify", "--expect", "dw", write(tmp_path, text)]), capsys.readouterr()
+
+        assert run("\ufeffab\ncd") == run("ab\ncd")
+        assert run("\ufeffab\ncd")[0] == EXIT_OK
+
     def test_k2(self, tmp_path, capsys):
         path = write(tmp_path, "a2 b2\nc2 d2")
         assert main(["classify", "--k", "2", path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["in_dw"]
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+@pytest.mark.parametrize("verb", ["classify", "neutralize", "graph"])
+def test_k_below_one(tmp_path, capsys, verb, k):
+    path = write(tmp_path, "aaabbb\ncccddd")
+    assert main([verb, "--k", k, path]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"error: a picture needs k >= 1, not {k}\n"
 
 
 class TestGraph:

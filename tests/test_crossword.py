@@ -20,7 +20,13 @@ from dyck2d.errors import ContainsNeutral, DegreeViolation, NotInDC
 from dyck2d.grid import BULLET_SYM, N, Picture, parse_picture, sym
 from dyck2d.lab import double_noose, enumerate_dc
 
-from oracles import oracle_cancelled_pairs, oracle_circuits, oracle_in_dc, oracle_is_quaternate
+from oracles import (
+    oracle_cancelled_pairs,
+    oracle_circuits,
+    oracle_in_dc,
+    oracle_is_quaternate,
+    oracle_match_positions,
+)
 
 
 def small_dc_pictures():
@@ -162,6 +168,21 @@ class TestMatchingGraph:
             assert row_deg == {n: 1 for n in nodes}
             assert col_deg == {n: 1 for n in nodes}
 
+    def test_edge_sets_match_oracle(self):
+        """The edge sets, views of the partner lists, are the matches of each row and column."""
+        for p in SMALL_DC + K2_DC:
+            g = matching_graph(p)
+            assert g.row_edges == {
+                ((i, x), (i, y))
+                for i in range(1, p.rows + 1)
+                for x, y in oracle_match_positions(p.row_word(i), "Row")
+            }
+            assert g.col_edges == {
+                ((x, j), (y, j))
+                for j in range(1, p.cols + 1)
+                for x, y in oracle_match_positions(p.col_word(j), "Col")
+            }
+
     def test_edge_endpoint_distances_are_odd(self):
         for p in SMALL_DC:
             g = matching_graph(p)
@@ -200,29 +221,51 @@ class TestCircuits:
 
 
 class TestDegreeViolation:
-    """The matching-graph laws circuits checks on hand-built graphs over ab/cd."""
+    """The matching-graph laws on hand-built graphs over ab/cd.
 
-    ROW = frozenset({((1, 1), (1, 2)), ((2, 1), (2, 2))})
-    COL = frozenset({((1, 1), (2, 1)), ((1, 2), (2, 2))})
+    The constructor checks that each partner list pairs the four nodes;
+    circuits checks the laws of the walk.
+    """
 
-    def graph(self, row_edges, col_edges, text="ab\ncd"):
-        return MatchingGraph(2, 2, row_edges, col_edges, parse_picture(text))
+    ROW = (1, 0, 3, 2)
+    COL = (2, 3, 0, 1)
+
+    def graph(self, row_of, col_of, text="ab\ncd"):
+        return MatchingGraph(2, 2, row_of, col_of, parse_picture(text))
 
     def test_well_formed(self):
         assert [c.label_text for c in circuits(self.graph(self.ROW, self.COL))] == ["abdc"]
 
     def test_extra_row_edge(self):
-        with pytest.raises(DegreeViolation, match=r"^two row edges at \(1, 1\)$"):
-            circuits(self.graph(self.ROW | {((1, 1), (1, 1))}, self.COL))
+        # a second row edge at (1, 2) makes (2, 1) name it too: the list is not a pairing
+        with pytest.raises(DegreeViolation, match="^row partners do not pair the nodes$"):
+            self.graph((1, 0, 1, 2), self.COL)
 
     def test_missing_column_edge(self):
-        with pytest.raises(DegreeViolation, match="^node without both a row and a column edge$"):
-            circuits(self.graph(self.ROW, self.COL - {((1, 2), (2, 2))}))
+        # -1, the stack pass's mark for an unmatched cell, must not wrap to the last node
+        with pytest.raises(DegreeViolation, match="^column partner off the grid$"):
+            self.graph(self.ROW, (2, -1, 0, 1))
 
     def test_node_outside_the_grid(self):
-        col = self.COL - {((1, 2), (2, 2))} | {((1, 2), (3, 2))}
-        with pytest.raises(DegreeViolation, match="^node without both a row and a column edge$"):
-            circuits(self.graph(self.ROW, col))
+        with pytest.raises(DegreeViolation, match="^column partner off the grid$"):
+            self.graph(self.ROW, (2, 5, 0, 1))
+
+    def test_wrong_length(self):
+        with pytest.raises(DegreeViolation, match="^3 row partners for 4 nodes$"):
+            self.graph((1, 0, 3), self.COL)
+        with pytest.raises(DegreeViolation, match="^5 column partners for 4 nodes$"):
+            self.graph(self.ROW, (*self.COL, 0))
+
+    def test_own_partner(self):
+        with pytest.raises(DegreeViolation, match="^node is its own row partner$"):
+            self.graph((0, 1, 3, 2), self.COL)
+
+    def test_picture_of_another_size(self):
+        with pytest.raises(DegreeViolation, match="^2x2 graph on a 2x4 picture$"):
+            self.graph(self.ROW, self.COL, "abab\ncdcd")
+        g = matching_graph(parse_picture("aabb\nccdd"))
+        with pytest.raises(DegreeViolation, match="^2x4 graph on a 2x2 picture$"):
+            MatchingGraph(2, 4, g.row_of, g.col_of, parse_picture("ab\ncd"))
 
     def test_labels_break_the_abdc_law(self):
         with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):

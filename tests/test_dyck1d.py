@@ -37,17 +37,15 @@ class TestPairing:
     def test_row_pairs(self):
         assert ROW.close_of(sym("a", 1)) == sym("b", 1)
         assert ROW.close_of(sym("c", 1)) == sym("d", 1)
-        assert not ROW.is_open(sym("b", 1))
 
     def test_col_pairs(self):
         assert COL.close_of(sym("a", 1)) == sym("c", 1)
         assert COL.close_of(sym("b", 1)) == sym("d", 1)
-        assert not COL.is_open(sym("d", 1))
 
     def test_index_must_agree(self):
         pr = Pairing("Row", 2)
-        assert not pr.matches(sym("a", 1), sym("b", 2))
-        assert pr.matches(sym("a", 2), sym("b", 2))
+        assert pr.close_of(sym("a", 2)) == sym("b", 2)
+        assert pr.close_of(sym("a", 1)) != sym("b", 2)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

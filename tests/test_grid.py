@@ -19,7 +19,6 @@ from dyck2d.grid import (
     concat,
     empty_picture,
     hcat,
-    homogeneous,
     parse_picture,
     picture_from_json,
     picture_from_rows,
@@ -91,6 +90,14 @@ class TestParseRender:
         with pytest.raises(IndexOutOfRange):
             parse_picture("a2 b2", k=1)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        # an argument error, checked before any cell is read
+        with pytest.raises(InvalidArgument, match=f"^a picture needs k >= 1, not {k}$"):
+            parse_picture("ab\ncd", k)
+        with pytest.raises(InvalidArgument):
+            parse_picture("", k)
+
     def test_ragged(self):
         with pytest.raises(RaggedRows):
             parse_picture("ab\nabc")
@@ -138,8 +145,6 @@ class TestPicture:
     def test_empty(self):
         e = empty_picture()
         assert e.is_empty and e.cells == ()
-        with pytest.raises(DomainOutOfBounds):
-            e.full_domain()
 
     def test_index_above_k(self):
         # parse_picture rejects such indices first, so only these reach Picture's own check
@@ -229,8 +234,3 @@ class TestDomainSubpicture:
     def test_out_of_bounds(self):
         with pytest.raises(DomainOutOfBounds):
             subpicture(parse_picture("ab"), Domain(1, 1, 2, 2))
-
-    def test_homogeneous(self):
-        p = homogeneous(sym("a", 1), 2, 3)
-        assert render_picture(p) == "aaa\naaa"
-        assert homogeneous(sym("a", 1), 0, 3).is_empty

@@ -265,6 +265,21 @@ class TestInDW:
         # DW closes under partition, not only under concatenation
         assert in_DW(pinwheel(wide, tall, wide, tall))
 
+    def test_woven_frames_are_not_well_nested(self):
+        # two nested tall frames (columns 3-8, 4-7) woven through two nested wide ones
+        # (rows 3-8, 4-7): every ring is a frame, but rings cross, so the scan must
+        # reject a ring that meets a claimed cell; no crossword up to 48 cells needs that
+        p = parse_picture(
+            "abaaabbbab\ncdaaabbbcd\n"
+            + "aaaaabbbbb\n" * 3
+            + "cccccddddd\n" * 3
+            + "abcccdddab\ncdcccdddcd"
+        )
+        flags = classify(p)
+        assert (flags.in_dc, flags.in_dq, flags.in_dn, flags.in_dw) == (True, True, True, False)
+        assert not in_DW(p)
+        assert not in_DW(p, mixed_border_indices=False)
+
     def test_deep_nesting_never_recurses(self):
         script = (
             "import sys, time\n"
