@@ -84,8 +84,9 @@ class Circuit:
 
 
 def _require_corners(p: Picture) -> None:
-    if any(s.index is None for s in p.cells):  # only N and the bullet carry no index
-        raise ContainsNeutral("crossword membership is defined over corner symbols")
+    for s in p.cells:  # a plain loop: the slot read is cheaper than a generator or attrgetter
+        if s.index is None:  # only N and the bullet carry no index
+            raise ContainsNeutral("crossword membership is defined over corner symbols")
 
 
 def _matching(p: Picture) -> tuple[list[int], list[int]]:

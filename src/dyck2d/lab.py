@@ -15,6 +15,7 @@ from .wellnest import _well_nested
 DEFAULT_CENSUS_BUDGET = 36
 
 CLASS_NAMES = ("dc", "dq", "dn", "dw")
+_GAPS = ("dc_not_dq", "dq_not_dn", "dn_not_dw")  # in a class, not the next
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,10 +26,8 @@ class ClassFlags:
     in_dw: bool
 
     def __post_init__(self) -> None:
-        chain = (self.in_dw, self.in_dn, self.in_dq, self.in_dc)
-        for narrow, wide in zip(chain, chain[1:]):
-            if narrow and not wide:
-                raise HierarchyViolation(f"hierarchy violated: {self}")
+        if not self.in_dc >= self.in_dq >= self.in_dn >= self.in_dw:  # bools: narrow implies wide
+            raise HierarchyViolation(f"hierarchy violated: {self}")
 
     def as_dict(self) -> dict[str, bool]:
         return {"in_dc": self.in_dc, "in_dq": self.in_dq, "in_dn": self.in_dn, "in_dw": self.in_dw}
@@ -52,18 +51,18 @@ def classify(p: Picture) -> ClassFlags:
     match = _crossword_matching(p)
     if match is None:
         return ClassFlags(in_dc=False, in_dq=False, in_dn=False, in_dw=False)
-    return _classify_matched(p, *match)
+    return _classify_matched(p, *match, *_rectangles(p, *match))
 
 
-def _classify_matched(p: Picture, row: list[int], col: list[int]) -> ClassFlags:
-    """The memberships of the crossword p, given its row and column partner lists.
+def _classify_matched(p: Picture, row: list, col: list, rects: list, owner: list) -> ClassFlags:
+    """The memberships of the crossword p, given its matching and its rectangles.
 
-    DQ: every a closes a 4-cycle, so the rectangles cover the cells.  DN:
+    rects and owner are as crossword._rectangles gives them, but owner need
+    only be exact when the rectangles cover the cells, which is DQ.  DN:
     Kahn's order over the rectangles completes, which on DQ is acyclicity of
     the precedence relation (the paper's theorem).  DW: the picture is tiled
     by accretions (see in_DW).  in_DN gives traces.
     """
-    rects, owner = _rectangles(p, row, col)
     dq = 4 * len(rects) == len(p.cells)
     dn = dq and len(_kahn(p, rects, owner)) == len(rects)
     dw = dn and _well_nested(p, row, col)
@@ -75,14 +74,12 @@ def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:
 
     The pictures of _enumerate_matched; nothing for an odd or empty size.
     """
-    for p, _, _ in _enumerate_matched(rows, cols, k):
+    for p, *_ in _enumerate_matched(rows, cols, k):
         yield p
 
 
-def _enumerate_matched(
-    rows: int, cols: int, k: int
-) -> Iterator[tuple[Picture, list[int], list[int]]]:
-    """Each crossword of the given size with its row and column partner lists.
+def _enumerate_matched(rows: int, cols: int, k: int) -> Iterator[tuple]:
+    """Each crossword of the given size as (picture, row, col, rects, owner).
 
     Cells are filled in row-major order by an iterative search over an
     explicit stack.  One row stack and one stack per column hold the flat
@@ -99,9 +96,13 @@ def _enumerate_matched(
     options (a1..ak, b, c, d, tried in that order, which keeps the output
     lexicographic), each checked in O(1).  A stack may be no deeper than the
     cells left in its line.  Each pop records its pair both ways in the
-    partner lists, and an undone closer reads its opener back from them.
-    Every pair is closed at a yield, so no stale entry leaks, and the lists
-    yielded equal crossword._crossword_matching(picture).
+    partner lists row and col, and an undone closer reads its opener back.
+    A d closes a rectangle when the a above its c is the a left of its b; it
+    is pushed on rects as crossword._rectangles gives it, owner marks its
+    corners, and undoing the d pops it.  At a yield row and col equal
+    crossword._crossword_matching(picture) and rects holds the rectangles;
+    owner is stale only on cells no rectangle owns, so it is exact on DQ.
+    The lists are live, not copies: each is valid until the next item.
     """
     if rows % 2 or cols % 2 or rows <= 0 or cols <= 0:
         return
@@ -112,15 +113,17 @@ def _enumerate_matched(
     role, index, tried = [-1] * (n + 1), [0] * (n + 1), [0] * n
     grid: list = [None] * n
     row, col = [-1] * n, [-1] * n
+    rects, owner = [], [None] * n
     row_stack = [n]
     col_stacks = [[n] for _ in range(cols)]
+    # per cell: its column stack, and the deepest each stack may be before a push there
+    lines = [(col_stacks[j], cols - j, rows - i) for i in range(rows) for j in range(cols)]
     x, o = 0, 0  # the cell, and the first option left to try there
     while True:
-        i, j = divmod(x, cols)
-        col_stack = col_stacks[j]
+        col_stack, row_limit, col_limit = lines[x]
         rt, ct = row_stack[-1], col_stack[-1]
-        row_room = len(row_stack) < cols - j  # one more push leaves the rest room to pop
-        col_room = len(col_stack) < rows - i
+        row_room = len(row_stack) < row_limit  # one more push leaves the rest room to pop
+        col_room = len(col_stack) < col_limit
         if o < k and row_room and col_room:
             r, t, o = a, o, o + 1
         elif o <= k and col_room and role[rt] == a:
@@ -141,16 +144,20 @@ def _enumerate_matched(
                 col[ct], col[x] = x, col_stack.pop()
             else:
                 col_stack.append(x)
+            if r == d and (top_left := col[rt]) == row[ct]:
+                owner[top_left] = owner[ct] = owner[rt] = owner[x] = rid = len(rects)
+                (top, left), (bottom, right) = divmod(top_left, cols), divmod(x, cols)
+                rects.append((left + 1, top + 1, right + 1, bottom + 1, t + 1, rid))
             if x + 1 < n:
                 x, o = x + 1, 0
                 continue
-            yield Picture(rows, cols, k, tuple(grid)), row[:], col[:]
+            yield Picture(rows, cols, k, tuple(grid)), row, col, rects, owner
         elif x == 0:
             return
         else:
             x -= 1
-        # undo the cell at x and resume its options
-        col_stack = col_stacks[x % cols]
+        # undo the cell at x and resume its options; a d reads its c and b back
+        col_stack = lines[x][0]
         if role[x] & 1:
             row_stack.append(row[x])
         else:
@@ -159,6 +166,8 @@ def _enumerate_matched(
             col_stack.append(col[x])
         else:
             col_stack.pop()
+        if role[x] == d and col[row[x]] == row[col[x]]:
+            rects.pop()
         o = tried[x]
 
 
@@ -167,8 +176,10 @@ def census(
 ) -> Census:
     """Classify every crossword of the given size.
 
-    Each crossword comes from _enumerate_matched with its matching, so
-    _classify_matched decides it without matching it again.
+    _classify_matched decides each from the matching and the rectangles that
+    _enumerate_matched hands over, with no cell scanned again.  Each is tallied
+    by its depth, the classes past DC it is in; the first of each depth below
+    DW witnesses that gap.
     """
     if rows <= 0 or cols <= 0 or k < 1:
         raise InvalidArgument("census needs positive sizes and k >= 1")
@@ -176,19 +187,14 @@ def census(
         raise InvalidArgument("census sizes must be even")
     if rows * cols > budget:
         raise BudgetExceeded(f"{rows}x{cols} exceeds the {budget}-cell budget")
-    counts = {name: 0 for name in CLASS_NAMES}
-    witnesses: dict[str, Picture] = {}
-    for p, row, col in _enumerate_matched(rows, cols, k):
-        flags = _classify_matched(p, row, col)
-        for name, member in zip(CLASS_NAMES, (flags.in_dc, flags.in_dq, flags.in_dn, flags.in_dw)):
-            counts[name] += member
-        for gap, hit in (
-            ("dc_not_dq", flags.in_dc and not flags.in_dq),
-            ("dq_not_dn", flags.in_dq and not flags.in_dn),
-            ("dn_not_dw", flags.in_dn and not flags.in_dw),
-        ):
-            if hit and gap not in witnesses:
-                witnesses[gap] = p
+    tally, first = [0] * len(CLASS_NAMES), {}
+    for p, row, col, rects, owner in _enumerate_matched(rows, cols, k):
+        flags = _classify_matched(p, row, col, rects, owner)
+        depth = flags.in_dq + flags.in_dn + flags.in_dw
+        tally[depth] += 1
+        first.setdefault(depth, p)
+    counts = {name: sum(tally[depth:]) for depth, name in enumerate(CLASS_NAMES)}
+    witnesses = {_GAPS[depth]: p for depth, p in first.items() if depth < len(_GAPS)}
     return Census(rows, cols, k, counts, witnesses)
 
 
@@ -250,7 +256,7 @@ def hamiltonian_search(
     found = []
     for rows in range(2, max_rows + 1, 2):
         for cols in range(2, max_cols + 1, 2):
-            for p, row, col in _enumerate_matched(rows, cols, k):
+            for p, row, col, _, _ in _enumerate_matched(rows, cols, k):
                 if len(_walk(p.cells, cols, row, col)) == 1:
                     found.append(p)
     return found

@@ -82,16 +82,18 @@ def _owners(p: Picture) -> tuple[list, list, int]:
 def _deps(p: Picture, rects: list, owner: list) -> list[set]:
     """Per rectangle, the owners of the cells in its box, other than itself.
 
-    Each box row is read as one slice of owner.  The owner of a neutral cell
-    (_NEUTRAL) is discarded with the rectangle's own id.  A non-neutral cell
-    that is no rectangle's corner contributes None: it never turns neutral,
-    so a rectangle that waits for it waits forever.
+    Each box row is read as one slice of owner, but not those of a 2x2 box,
+    which holds only its own corners.  The owner of a neutral cell (_NEUTRAL)
+    is discarded with the rectangle's own id.  A non-neutral cell that is no
+    rectangle's corner contributes None: it never turns neutral, so a
+    rectangle that waits for it waits forever.
     """
     cols, out = p.cols, []
     for left, top, right, bottom, _, rid in rects:
         deps, width = set(), right - left + 1
-        for x in range((top - 1) * cols + left - 1, bottom * cols, cols):
-            deps.update(owner[x : x + width])
+        if width > 2 or bottom - top > 1:
+            for x in range((top - 1) * cols + left - 1, bottom * cols, cols):
+                deps.update(owner[x : x + width])
         deps.discard(rid)
         deps.discard(_NEUTRAL)
         out.append(deps)
@@ -109,8 +111,9 @@ def _kahn(p: Picture, rects: list, owner: list) -> list:
     waits, dependents = [], [[] for _ in rects]
     for rid, deps in enumerate(_deps(p, rects, owner)):
         waits.append(len(deps))
-        for o in deps - {None}:
-            dependents[o].append(rid)
+        if None not in deps:  # else it is never ready, so it is nobody's dependent
+            for o in deps:
+                dependents[o].append(rid)
     ready = [r for r in rects if not waits[r[-1]]]
     heapq.heapify(ready)
     order = []

@@ -153,6 +153,9 @@ class TestPicture:
             picture_from_json(blob)
         with pytest.raises(IndexOutOfRange):
             Picture(1, 2, 1, (sym("a", 2), sym("b", 2)))
+        # the message names the first offending cell in row-major order, not the largest index
+        with pytest.raises(IndexOutOfRange, match=r"^index 2 > k=1$"):
+            Picture(1, 2, 1, (sym("a", 2), sym("b", 3)))
 
     @pytest.mark.parametrize("rows, cols", [(-2, -2), (-1, -4), (0, 3), (3, 0), (-1, 0)])
     def test_malformed_size(self, rows, cols):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dyck2d.crossword import _crossword_matching, in_DC, picture_circuits
+from dyck2d import lab
+from dyck2d.crossword import _crossword_matching, _rectangles, in_DC, picture_circuits
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word, word_text
 from dyck2d.errors import BudgetExceeded, ContainsNeutral, Dyck2dError, InvalidArgument, NotDyck
 from dyck2d.grid import Picture, hcat, parse_picture, render_picture, sym, vcat
@@ -125,8 +126,16 @@ class TestEnumerateDC:
 
     @pytest.mark.parametrize("rows, cols, k", [(6, 6, 1), (4, 4, 2), (2, 6, 3)])
     def test_matching_handed_over(self, rows, cols, k):
-        for p, row, col in _enumerate_matched(rows, cols, k):
-            assert (row, col) == _crossword_matching(p), render_picture(p)
+        # the lists are live, so each item is checked before the next is asked for
+        for p, row, col, rects, owner in _enumerate_matched(rows, cols, k):
+            text = render_picture(p)
+            assert (row, col) == _crossword_matching(p), text
+            scanned, _ = _rectangles(p, row, col)
+            assert {r[:5] for r in rects} == {r[:5] for r in scanned}, text
+            assert [r[-1] for r in rects] == list(range(len(rects))), text
+            for left, top, right, bottom, _, rid in rects:
+                for i, j in ((top, left), (top, right), (bottom, left), (bottom, right)):
+                    assert owner[(i - 1) * cols + j - 1] == rid, text
 
     def test_long_row_needs_no_recursion(self):
         p = next(enumerate_dc(2, 2400))
@@ -167,10 +176,34 @@ class TestCensus:
             (2, 8, 2, (224, 224, 224, 16)),
             (4, 4, 3, (981, 972, 972, 162)),
             (2, 6, 3, (135, 135, 135, 27)),
+            # 48-cell sizes; DQ and DN checked once against is_quaternate and in_DN_quaternate
+            (4, 10, 1, (20140, 12628, 12628, 42)),
+            (10, 4, 1, (20140, 12628, 12628, 42)),
         ],
     )
     def test_golden_counts(self, rows, cols, k, counts):
-        assert census(rows, cols, k=k).counts == dict(zip(("dc", "dq", "dn", "dw"), counts))
+        result = census(rows, cols, k=k, budget=48)
+        assert result.counts == dict(zip(("dc", "dq", "dn", "dw"), counts))
+
+    def test_reads_rectangles_off_the_enumerator(self, monkeypatch, fx):
+        # census and the search take each crossword's rectangles from the
+        # enumerator; only classify scans a picture for them
+        class Scanned(Exception):
+            pass
+
+        def scan(*args):
+            raise Scanned
+
+        monkeypatch.setattr(lab, "_rectangles", scan)
+        result = census(4, 4)
+        assert result.counts == {"dc": 13, "dq": 12, "dn": 12, "dw": 2}
+        assert {name: render_picture(p) for name, p in result.witnesses.items()} == {
+            "dc_not_dq": "abab\ncabd\nacdb\ncdcd",
+            "dn_not_dw": "aabb\nabab\ncdcd\nccdd",
+        }
+        assert [render_picture(p) for p in hamiltonian_search(4, 4)] == ["ab\ncd"]
+        with pytest.raises(Scanned):
+            classify(fx["fig2"])
 
     def test_monotone(self):
         counts = census(4, 4).counts
