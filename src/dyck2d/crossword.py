@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import attrgetter, eq
+from operator import eq
 from typing import Sequence
 
 from .dyck1d import _COL_CLOSE, _ROW_CLOSE, _stack_match
@@ -15,7 +15,6 @@ Pos = tuple[int, int]
 Edge = tuple[Pos, Pos]
 
 _CIRCUIT_ROLE_ORDER = "abdc"
-_ROLE, _INDEX = attrgetter("role"), attrgetter("index")
 
 _PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -186,8 +185,8 @@ def _walk(cells: tuple, cols: int, row_of: Sequence[int], col_of: Sequence[int])
                 raise DegreeViolation(f"circuit through {pos} is not simple")
         if len(nodes) % 4:
             raise DegreeViolation(f"circuit length {len(nodes)} not divisible by 4")
-        labels = list(map(cells.__getitem__, nodes))
-        roles, indices = "".join(map(_ROLE, labels)), set(map(_INDEX, labels))
+        labels = [cells[x] for x in nodes]
+        roles, indices = "".join([t.role for t in labels]), {t.index for t in labels}
         if roles != _CIRCUIT_ROLE_ORDER * (len(nodes) // 4) or indices != {s.index}:
             raise DegreeViolation(f"circuit labels {tuple(labels)} violate the (abdc)+ law")
         out.append(nodes)

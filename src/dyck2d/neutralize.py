@@ -6,9 +6,8 @@ import graphlib
 import heapq
 import json
 from dataclasses import dataclass
-from itertools import compress
 
-from .crossword import _ROLE, Circuit, _matching, _rectangles, picture_circuits
+from .crossword import Circuit, _matching, _rectangles, picture_circuits
 from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
 from .grid import NEUTRAL, Domain, N, Picture
 
@@ -73,7 +72,7 @@ def _redex(rect: tuple) -> Redex:
 def _owners(p: Picture) -> tuple[list, list, int]:
     """_rectangles of p with each neutral cell owned by _NEUTRAL, and the neutral count."""
     rects, owner = _rectangles(p, *_matching(p))
-    neutral = list(compress(range(len(p.cells)), map(NEUTRAL.__eq__, map(_ROLE, p.cells))))
+    neutral = [x for x, s in enumerate(p.cells) if s.role == NEUTRAL]
     for x in neutral:
         owner[x] = _NEUTRAL
     return rects, owner, len(neutral)
@@ -139,12 +138,11 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
 
     greedy applies the first redex in (left, top, right, bottom) order until
     fixpoint, in one pass: Kahn's order over the rectangles of the row and
-    column matchings.  exhaustive is the verdict of a search over every
-    redex order, with the trace of the order it finds.  Two redexes never
-    share a corner and a redex stays one until it is applied, so every
-    maximal order applies the same rectangles: the search never backtracks
-    on a member, whose trace is the greedy one, and finds no order off DN,
-    where its trace is empty.
+    column matchings.  exhaustive runs no search: it is the greedy verdict,
+    with the greedy trace on DN and an empty trace off it.  That is what a
+    search over every redex order would give: two redexes never share a
+    corner and a redex stays one until it is applied, so every maximal order
+    applies the same rectangles, and one order neutralizes p iff all do.
     """
     if strategy not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .crossword import _crossword_matching
 from .dyck1d import COL, ROW, Pairing, Word, is_dyck
@@ -28,7 +28,7 @@ def _check_border(w: Word, roles: str, pr: Pairing, uniform_index: int | None) -
             raise NotDyckBorder(f"border letter {s.role!r} not in {{{roles}}}")
         if uniform_index is not None and s.index != uniform_index:
             raise NotDyckBorder(f"border index {s.index} != {uniform_index}")
-    if w and not is_dyck(w, pr):
+    if not is_dyck(w, pr):
         raise NotDyckBorder("border word is not Dyck over its pairs")
 
 
@@ -127,7 +127,7 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
 
 def chinese_accretion(p: Picture) -> Picture:
     """Frame p with a corner quadruple and bullet sides."""
-    if NEUTRAL in map(attrgetter("role"), p.cells):
+    if NEUTRAL in [s.role for s in p.cells]:
         raise ContainsNeutral("Chinese boxes use corners and bullets only")
     a, b, c, d = (sym(r, 1) for r in "abcd")
     rule = [BULLET_SYM] * p.cols
@@ -135,21 +135,19 @@ def chinese_accretion(p: Picture) -> Picture:
     return picture_from_rows([[a, *rule, b], *middle, [c, *rule, d]], max(p.k, 1) if p.rows else 1)
 
 
-def _box(p: Picture, roles: str, a: int, bottom: int, right: int) -> tuple | None:
+def _box(p: Picture, roles: str, a: int) -> tuple | None:
     """The Chinese box of the a1 at flat position a, 0-based (top, left, bottom, right), or None.
 
     roles holds the role of each cell of p.  A box's top row and left column
     are bullets between its corners, so its top-right corner is the first
-    non-bullet cell right of a and its bottom-left corner the first one below
-    a.  Both searches stop at the region's edge (column right, row bottom), so
-    a box never leaves its region.  The frame is read by slice comparisons:
+    non-bullet cell right of a in its row and its bottom-left corner the
+    first one below a in its column.  The frame is read by slice comparisons:
     the rest of the border is bullets, the corners are a1 b1 c1 d1, and the
     box is 2x2 or both its sides are longer.
     """
     cells, cols = p.cells, p.cols
     top, left = divmod(a, cols)
-    across = roles[a + 1 : top * cols + right + 1]
-    down = roles[a + cols : bottom * cols + left + 1 : cols]
+    across, down = roles[a + 1 : (top + 1) * cols], roles[a + cols :: cols]
     w, h = len(across) - len(across.lstrip(BULLET)), len(down) - len(down.lstrip(BULLET))
     if roles[a] != "a" or w == len(across) or h == len(down) or (w == 0) != (h == 0):
         return None
@@ -163,64 +161,57 @@ def _box(p: Picture, roles: str, a: int, bottom: int, right: int) -> tuple | Non
     return (top, left, top + h + 1, left + w + 1) if framed else None
 
 
-def _tiling(p: Picture, roles: str, top: int, left: int, bottom: int, right: int) -> list | None:
-    """The boxes tiling the 0-based region (top, left, bottom, right) of p, or None.
-
-    One row-major scan: each uncovered cell anchors its one _box, which must
-    miss the covered cells of its top row, the only way in for a box anchored earlier.
-    """
-    cols, width = p.cols, right - left + 1
-    covered, tiles, x = bytearray((bottom - top + 1) * width), [], 0
-    while (x := covered.find(0, x)) >= 0:
-        a = (top + x // width) * cols + left + x % width
-        if (box := _box(p, roles, a, bottom, right)) is None:
-            return None
-        t, l, b, r = box
-        ones = b"\1" * (r - l + 1)
-        if 1 in covered[x : x + len(ones)]:
-            return None
-        for y in range(x, x + (b - t + 1) * width, width):
-            covered[y : y + len(ones)] = ones
-        tiles.append(box)
-    return tiles
-
-
 def in_DB(p: Picture) -> bool:
     """Chinese-boxes membership: accretion plus horizontal and vertical concatenation.
 
-    A worklist of box lists over one string of the roles of p, from a virtual
-    frame whose core is p.  One box has its core tiled afresh (_tiling);
-    several are cut where their merged column intervals leave a gap, else
-    where their merged row intervals do, and with no straight cut the picture
-    is rejected.  A straight cut of a concatenation leaves concatenations on
-    both sides, so any cut keeps every member; a tiling alone would accept
-    the pinwheel, which no straight cut splits.  Each box is framed once, and
-    nothing is copied, remembered or recursed into.
+    One row-major scan over the roles of p claims box rings as _well_nested
+    claims frames: the first unclaimed cell must anchor a _box, whose ring
+    is then claimed, so a member's boxes are found one by one.  A worklist
+    of box lists, from all of them, then takes p apart.  A list's boxes lie
+    in its part and their rings cover it, so its least box B by (top, left)
+    sits at the part's top-left.  If no other box reaches B's right column,
+    B is the part (the cells right of its top-right corner and below its
+    bottom-right one lie on rings that would), and the rest lie in B's core
+    (a corner on B's ring would sit on a bullet): B is peeled.  Otherwise
+    the list is cut at the gaps of its merged column intervals, else of its
+    merged row intervals, or rejected.  A straight cut of a concatenation
+    leaves concatenations on both sides, so no cut loses a member; the
+    pinwheel, a tiling by boxes, has no straight cut.  Rings are not checked
+    for overlap: two crossing rings share a column and a row interval, so
+    no cut separates them, and neither lies in the other's core, so neither
+    is peeled and their list is rejected.  Nothing is copied, remembered or
+    recursed into.
     """
     if p.is_empty:
         return True
-    roles = "".join(map(attrgetter("role"), p.cells))
-    work = [[(-1, -1, p.rows, p.cols)]]
+    cols, roles = p.cols, "".join([s.role for s in p.cells])
+    claimed, boxes, a = bytearray(len(roles)), [], 0
+    while (a := claimed.find(0, a)) >= 0:
+        if (box := _box(p, roles, a)) is None:
+            return False
+        top, left, bottom, right = box
+        w, h, c = right - left + 1, bottom - top - 1, bottom * cols + left
+        claimed[a : a + w] = claimed[c : c + w] = b"\1" * w
+        if h:  # the side columns, which a 2x2 box has none of
+            claimed[a + cols : c : cols] = claimed[a + w - 1 + cols : c + w - 1 : cols] = b"\1" * h
+        boxes.append(box)
+    work = [boxes]
     while work:
         tiles = work.pop()
-        if len(tiles) == 1:
-            top, left, bottom, right = tiles[0]
-            if bottom - top > 1:
-                if (core := _tiling(p, roles, top + 1, left + 1, bottom - 1, right - 1)) is None:
-                    return False
-                work.append(core)
-            continue
-        for first, last in ((1, 3), (0, 2)):  # column cuts, then row cuts
-            tiles.sort(key=itemgetter(first))
-            parts, reach = [], -1
-            for box in tiles:
-                if box[first] > reach:
-                    parts.append([])
-                parts[-1].append(box)
-                reach = max(reach, box[last])
-            if len(parts) > 1:
-                work += parts
-                break
-        else:
-            return False
+        right = min(tiles)[3]
+        parts = [[x for x in tiles if x[3] < right]]
+        if len(parts[0]) < len(tiles) - 1:  # no peel: column cuts, then row cuts
+            for first, last in ((1, 3), (0, 2)):
+                tiles.sort(key=itemgetter(first))
+                parts, reach = [], -1
+                for box in tiles:
+                    if box[first] > reach:
+                        parts.append([])
+                    parts[-1].append(box)
+                    reach = max(reach, box[last])
+                if len(parts) > 1:
+                    break
+            else:
+                return False
+        work += [part for part in parts if len(part) > 1]  # one box is 2x2: its ring is its part
     return True

@@ -7,7 +7,8 @@ word neutralization by rewriting redexes until a rescan finds none,
 neutralizability by blind search over all rectangles, the greedy trace by a
 rescan of every rectangle after each rewrite, well-nestedness by
 a bottom-up closure over a finite universe of small pictures, and Chinese
-boxes by generating every member within bounds from the empty picture.
+boxes by generating every member within bounds from the empty picture, or
+by the definition memoised over the sub-rectangles of one picture.
 The DW count is a weighted count of rectangle tilings of the half grid, and
 the DC count a row-by-row transfer over the tuple of column stacks.
 """
@@ -19,7 +20,18 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from dyck2d.grid import Domain, N, Picture, empty_picture, hcat, subpicture, sym, vcat
+from dyck2d.grid import (
+    BULLET,
+    Domain,
+    N,
+    Picture,
+    empty_picture,
+    hcat,
+    parse_picture,
+    subpicture,
+    sym,
+    vcat,
+)
 
 ROW_PAIRS = {("a", "b"), ("c", "d")}
 COL_PAIRS = {("a", "c"), ("b", "d")}
@@ -327,6 +339,80 @@ def oracle_db_set(max_rows: int, max_cols: int) -> set:
         fresh = {p for p in grown if p.rows <= max_rows and p.cols <= max_cols} - members
         members |= fresh
     return {(p.rows, p.cols, p.cells) for p in members}
+
+
+def oracle_in_db(p: Picture) -> bool:
+    """Chinese-box membership by the definition, memoised over the sub-rectangles of p.
+
+    A sub-rectangle (top, left, bottom, right; 0-based, half-open) is a
+    member iff it is empty, or it is the Chinese accretion of a member (a1 b1
+    c1 d1 corners, bullet sides, 2x2 or both sides longer, a member core), or
+    one straight cut splits it into two members.  A member starts with a1 and
+    ends with d1, so only cuts between a b1 and an a1 on the top row (column
+    cuts) or between a c1 and an a1 in the left column (row cuts) are tried.
+    """
+    cell = [[(s.role, s.index) for s in p.row_word(i)] for i in range(1, p.rows + 1)]
+    a, b, c, d = (("a", 1), ("b", 1), ("c", 1), ("d", 1))
+    bullet = (BULLET, None)
+
+    @lru_cache(maxsize=None)
+    def member(top: int, left: int, bottom: int, right: int) -> bool:
+        if top == bottom:
+            return True
+        if cell[top][left] != a or cell[bottom - 1][right - 1] != d:
+            return False
+        rows, cols = bottom - top, right - left
+        sides = [cell[top][j] for j in range(left + 1, right - 1)]
+        sides += [cell[bottom - 1][j] for j in range(left + 1, right - 1)]
+        sides += [cell[i][left] for i in range(top + 1, bottom - 1)]
+        sides += [cell[i][right - 1] for i in range(top + 1, bottom - 1)]
+        if (
+            rows >= 2
+            and cols >= 2
+            and (rows == 2) == (cols == 2)
+            and cell[top][right - 1] == b
+            and cell[bottom - 1][left] == c
+            and all(s == bullet for s in sides)
+            and member(top + 1, left + 1, bottom - 1, right - 1)
+        ):
+            return True
+        for j in range(left + 1, right):
+            if cell[top][j - 1] == b and cell[top][j] == a:
+                if member(top, left, bottom, j) and member(top, j, bottom, right):
+                    return True
+        for i in range(top + 1, bottom):
+            if cell[i - 1][left] == c and cell[i][left] == a:
+                if member(top, left, i, right) and member(i, left, bottom, right):
+                    return True
+        return False
+
+    return member(0, 0, p.rows, p.cols)
+
+
+def random_db_member(rng, rows: int, cols: int) -> Picture:
+    """A seeded random rows x cols Chinese-box picture, for even rows and cols >= 2.
+
+    Each part is ab/cd at 2x2, else at random the Chinese accretion of a
+    random core (when both sides are at least 4) or the concatenation of two
+    random parts cut at an even column or row.
+    """
+
+    def build(h: int, w: int) -> list[str]:
+        steps = ["frame"] * (h > 2 and w > 2) + ["cols"] * (w > 2) + ["rows"] * (h > 2)
+        if not steps:
+            return ["ab", "cd"]
+        step = rng.choice(steps)
+        if step == "frame":
+            core = build(h - 2, w - 2)
+            rule = "*" * (w - 2)
+            return [f"a{rule}b", *(f"*{line}*" for line in core), f"c{rule}d"]
+        if step == "cols":
+            j = 2 * rng.randrange(1, w // 2)
+            return [x + y for x, y in zip(build(h, j), build(h, w - j))]
+        i = 2 * rng.randrange(1, h // 2)
+        return build(i, w) + build(h - i, w)
+
+    return parse_picture("\n".join(build(rows, cols)))
 
 
 def oracle_dw_count(rows: int, cols: int) -> int:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -37,7 +38,14 @@ from dyck2d.wellnest import (
     nesting_accretion,
 )
 
-from oracles import oracle_db_set, oracle_dc_count, oracle_dw_count, oracle_dw_set
+from oracles import (
+    oracle_db_set,
+    oracle_dc_count,
+    oracle_dw_count,
+    oracle_dw_set,
+    oracle_in_db,
+    random_db_member,
+)
 
 
 def pinwheel(north, east, south, west):
@@ -135,6 +143,14 @@ class TestNestingAccretion:
         assert framed.cell(1, 1).index == 2 and framed.cell(1, 2).index == 1
         with pytest.raises(NotDyckBorder):
             nesting_accretion(acc, mixed_border_indices=False)
+
+    def test_uniform_index_accepts_matching_borders(self):
+        # borders that carry the corner index pass the uniform check
+        core = parse_picture("a1 b1\nc1 d1", k=2)
+        acc = Accretion(2, parse_word("a2 b2", k=2), parse_word("a2 c2", k=2), core)
+        framed = nesting_accretion(acc, mixed_border_indices=False)
+        assert framed == nesting_accretion(acc)
+        assert in_DW(framed, mixed_border_indices=False)
 
     @settings(max_examples=60, deadline=None)
     @given(border_pairs)
@@ -337,44 +353,71 @@ class TestFrame:
         assert accepted > len(pool)
 
 
-class TestTiledTopDown:
-    """_tiling of the top-left 2x2 region of a 3x3 picture, on stand-in boxes.
-
-    A cell not listed is its own 1x1 box.  Like _box, the stand-in finds no
-    box past the region's edge that _tiling hands it.
-    """
+class TestRingScan:
+    """in_DB claims box rings in one row-major scan, then peels and cuts box lists."""
 
     @pytest.mark.parametrize(
-        "listed, tiles",
-        [
-            ({}, [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1)]),
-            ({(0, 0): (0, 0, 1, 0), (0, 1): (0, 1, 1, 1)}, [(0, 0, 1, 0), (0, 1, 1, 1)]),
-            ({(0, 1): None}, None),
-            ({(0, 0): (0, 0, 0, 2)}, None),  # leaves the region on the right
-            ({(0, 0): (0, 0, 2, 0)}, None),  # leaves the region at the bottom
-            ({(0, 1): (0, 1, 1, 1), (1, 0): (1, 0, 1, 1)}, None),  # its top row meets a box
-        ],
+        "anchor, box",
+        [(0, (0, 0, 3, 3)), (7, (1, 1, 2, 2)), (4, None)],
+        ids=["outer", "inner", "beside"],
     )
-    def test_scan(self, monkeypatch, listed, tiles):
-        def box(p, roles, a, bottom, right):
-            i, j = divmod(a, p.cols)
-            d = listed.get((i, j), (i, j, i, j))
-            return d if d and d[2] <= bottom and d[3] <= right else None
-
-        p = parse_picture("***\n***\n***")
-        monkeypatch.setattr(wellnest, "_box", box)
-        assert wellnest._tiling(p, "•" * 9, 0, 0, 1, 1) == tiles
-
-    @pytest.mark.parametrize(
-        "bottom, right, box",
-        [(3, 3, (0, 0, 3, 3)), (3, 2, None), (2, 3, None)],
-        ids=["whole", "clipped-right", "clipped-bottom"],
-    )
-    def test_box_stops_at_region_edge(self, bottom, right, box):
-        # the 4x4 box at the top left of a 4x6 picture, seen from regions cut short of it
+    def test_box_finds_frame(self, anchor, box):
+        # the 4x4 box and its core on a 4x6 picture, whose searches run to the first
+        # non-bullet cell; right of it, a 4x2 frame would have a core with no columns
         p = hcat(chinese_accretion(parse_picture("ab\ncd")), parse_picture("ab\n**\n**\ncd"))
         roles = "".join(s.role for s in p.cells)
-        assert wellnest._box(p, roles, 0, bottom, right) == box
+        assert wellnest._box(p, roles, anchor) == box
+
+    def test_box_search_stays_in_its_row(self):
+        # the a in the last column anchors no box, though the next row starts b c
+        # and a search run on into it would read a wrapped 2x2 frame
+        p = parse_picture("*a\nbc\nd*")
+        assert wellnest._box(p, "".join(s.role for s in p.cells), 1) is None
+        assert not in_DB(p)
+
+    @pytest.mark.parametrize(
+        "text, member",
+        [
+            ("abab\ncdcd\nabab\ncdcd", True),  # cut by columns, then by rows, then peeled
+            ("a****b\n*abab*\n*cdcd*\nc****d", True),  # peeled, then cut
+            ("ab**\ncd**", False),  # the first unclaimed cell anchors no box
+            ("a**b\n*ab*\n*cd*\nca*d", False),  # a box whose bottom row is not bullets
+            ("ab\ncd\n**", False),  # an odd row left over
+            ("a*b\nc*d", False),  # a 2x3 box has a core with no rows
+        ],
+        ids=["grid", "nested", "no-box", "bad-frame", "leftover-row", "flat-core"],
+    )
+    def test_verdict(self, text, member):
+        p = parse_picture(text)
+        assert in_DB(p) == oracle_in_db(p) == member
+
+    def test_woven_rings_cover_every_cell(self, monkeypatch):
+        # two tall boxes (columns 3-8, 4-7, 1-based) cross two wide ones (rows 3-8, 4-7)
+        # around a central ab/cd: the scan claims every cell, and only the worklist rejects,
+        # because crossing boxes share a column and a row interval and neither holds the other
+        p = parse_picture(
+            "aba****bab\n"
+            "cd*a**b*cd\n"
+            "a********b\n"
+            "*a******b*\n"
+            "****ab****\n"
+            "****cd****\n"
+            "*c******d*\n"
+            "c********d\n"
+            "ab*c**d*ab\n"
+            "cdc****dcd"
+        )
+        boxes = []
+        find = wellnest._box
+        monkeypatch.setattr(wellnest, "_box", lambda *args: boxes.append(find(*args)) or boxes[-1])
+        assert not in_DB(p) and not oracle_in_db(p)
+        assert None not in boxes and len(boxes) == 9
+        covered = Counter()
+        for top, left, bottom, right in boxes:
+            ring = {(i, j) for i in (top, bottom) for j in range(left, right + 1)}
+            covered.update(ring | {(i, j) for i in range(top, bottom + 1) for j in (left, right)})
+        assert len(covered) == p.rows * p.cols
+        assert max(covered.values()) > 1  # rings cross
 
 
 class TestMemo:
@@ -392,6 +435,12 @@ class TestMemo:
             in_DB(fx["fig1_mid"])
             in_DB(chinese_accretion(fx["fig1_mid"]))
         assert sizes() == before
+
+
+@pytest.fixture(scope="module")
+def db_closure():
+    """Every Chinese-box picture of at most 8 rows and 8 columns, from the closure oracle."""
+    return oracle_db_set(8, 8)
 
 
 class TestChineseBoxes:
@@ -436,6 +485,7 @@ class TestChineseBoxes:
         assert in_DB(wide) and in_DB(tall)
         # DB closes under concatenation only: a partition into boxes is not enough
         assert not in_DB(pinwheel(wide, tall, wide, tall))
+        assert not oracle_in_db(pinwheel(wide, tall, wide, tall))
 
     def test_matches_closure_oracle_on_small_pictures(self):
         members = oracle_db_set(6, 6)
@@ -445,8 +495,8 @@ class TestChineseBoxes:
                 for cells in product(alphabet, repeat=rows * cols):
                     assert in_DB(Picture(rows, cols, 1, cells)) == ((rows, cols, cells) in members)
 
-    def test_matches_closure_oracle_on_members_and_mutants(self):
-        members = oracle_db_set(8, 8)
+    def test_matches_closure_oracle_on_members_and_mutants(self, db_closure):
+        members = db_closure
         alphabet = [*(sym(r, 1) for r in "abcd"), BULLET_SYM, N]
         rng = random.Random(0)
         for rows, cols, cells in sorted(members, key=lambda m: (m[:2], [s.role for s in m[2]])):
@@ -457,6 +507,39 @@ class TestChineseBoxes:
                 if s != cells[x]:
                     mutant = (rows, cols, cells[:x] + (s,) + cells[x + 1 :])
                     assert in_DB(Picture(rows, cols, 1, mutant[2])) == (mutant in members)
+
+    def test_definition_oracle_matches_closure_oracle(self, db_closure):
+        # the two DB oracles, on every closure member of at most 8 rows and columns and its
+        # one-cell mutants: every cell under 8 rows and 8 columns, two seeded cells otherwise
+        members = db_closure
+        alphabet = [*(sym(r, 1) for r in "abcd"), BULLET_SYM, N]
+        rng = random.Random(0)
+        for rows, cols, cells in sorted(members, key=lambda m: (m[:2], [s.role for s in m[2]])):
+            assert oracle_in_db(Picture(rows, cols, 1, cells))
+            spots = range(len(cells)) if max(rows, cols) < 8 else rng.sample(range(len(cells)), 2)
+            for x, s in product(spots, alphabet):
+                mutant = (rows, cols, cells[:x] + (s,) + cells[x + 1 :])
+                assert oracle_in_db(Picture(rows, cols, 1, mutant[2])) == (mutant in members)
+
+    def test_matches_definition_oracle_on_random_members_and_mutants(self):
+        # seeded members up to 16x16, far past the closure oracle's 8 cells a side,
+        # and one, two and three seeded cells of each changed
+        alphabet = [*(sym(r, 1) for r in "abcd"), BULLET_SYM, N, sym("a", 2)]
+        rng = random.Random(18)
+        accepted = 0
+        for _ in range(800):
+            rows, cols = 2 * rng.randint(1, 8), 2 * rng.randint(1, 8)
+            p = random_db_member(rng, rows, cols)
+            assert in_DB(p) and oracle_in_db(p), render_picture(p)
+            for changed in (1, 2, 3):
+                cells = list(p.cells)
+                for x in rng.sample(range(len(cells)), min(changed, len(cells))):
+                    cells[x] = rng.choice(alphabet)
+                q = Picture(rows, cols, 2, tuple(cells))
+                verdict = oracle_in_db(q)
+                assert in_DB(q) == verdict, render_picture(q)
+                accepted += verdict
+        assert accepted > 10  # some mutants are members again
 
     @pytest.mark.parametrize(
         "side, nested, boxes",
@@ -470,9 +553,7 @@ class TestChineseBoxes:
         grid = vcat(*[hcat(*[box] * side)] * side)
         calls = []
         find = wellnest._box
-        monkeypatch.setattr(
-            wellnest, "_box", lambda p, roles, a, *edge: calls.append(a) or find(p, roles, a, *edge)
-        )
+        monkeypatch.setattr(wellnest, "_box", lambda p, roles, a: calls.append(a) or find(p, roles, a))
         assert in_DB(grid)
         assert len(calls) == len(set(calls)) == boxes
 
@@ -499,22 +580,6 @@ class TestChineseBoxes:
         assert decide(grid)
         assert not calls, f"{len(calls)} Domain.rows/cols reads"
         assert Domain(1, 1, 2, 3).cols == 3 and len(calls) == 1  # the counter counts
-
-    def test_each_core_tiled_once(self, monkeypatch):
-        # only the picture and the cores of boxes larger than 2x2 are tiled:
-        # once for a 40x40 grid of ab/cd, 1 + 9 times for a 3x3 grid of nested boxes
-        ab = parse_picture("ab\ncd")
-        nested = chinese_accretion(ab)
-        grids = [vcat(*[hcat(*[box] * n)] * n) for box, n in ((ab, 20), (nested, 3))]
-        calls = []
-        tiling = wellnest._tiling
-        monkeypatch.setattr(wellnest, "_tiling", lambda *args: calls.append(args) or tiling(*args))
-        counts = []
-        for grid in grids:
-            calls.clear()
-            assert in_DB(grid)
-            counts.append(len(calls))
-        assert counts == [1, 10]
 
     def test_chinese_nest_is_iterated_accretion(self):
         p = empty_picture()
