@@ -26,22 +26,17 @@ _PALETTE = (
 class MatchingGraph:
     """Row and column match edges laid on the picture grid, held as two partner lists.
 
-    row_of[x] and col_of[x] are the row and the column partner of the node at
-    flat position x = (i - 1) * cols + j - 1; the edge sets are views of them.
-    Raises DegreeViolation unless the picture has the graph's size and each
-    list pairs every node of the grid with exactly one other node.
+    row_of[x] and col_of[x] are the row and the column partner of the picture's
+    cell at flat position x = (i - 1) * cols + j - 1; the edge sets are views of
+    them.  Raises DegreeViolation unless each list pairs every node with another.
     """
 
-    rows: int
-    cols: int
     row_of: tuple[int, ...]
     col_of: tuple[int, ...]
     picture: Picture
 
     def __post_init__(self) -> None:
-        n, p = self.rows * self.cols, self.picture
-        if (p.rows, p.cols) != (self.rows, self.cols):
-            raise DegreeViolation(f"{self.rows}x{self.cols} graph on a {p.rows}x{p.cols} picture")
+        n = len(self.picture.cells)
         for partner, kind in ((self.row_of, "row"), (self.col_of, "column")):
             if len(partner) != n:
                 raise DegreeViolation(f"{len(partner)} {kind} partners for {n} nodes")
@@ -55,11 +50,11 @@ class MatchingGraph:
 
     @property
     def row_edges(self) -> frozenset[Edge]:
-        return frozenset(_edges(self.row_of, _positions(self.rows, self.cols)))
+        return frozenset(_edges(self.row_of, _positions(self.picture)))
 
     @property
     def col_edges(self) -> frozenset[Edge]:
-        return frozenset(_edges(self.col_of, _positions(self.rows, self.cols)))
+        return frozenset(_edges(self.col_of, _positions(self.picture)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,9 +113,9 @@ def in_DC(p: Picture) -> bool:
     return _crossword_matching(p) is not None
 
 
-def _positions(rows: int, cols: int) -> list[Pos]:
+def _positions(p: Picture) -> list[Pos]:
     """The 1-based (i, j) of each flat position x = (i - 1) * cols + j - 1, in row-major order."""
-    return [(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    return [(i, j) for i in range(1, p.rows + 1) for j in range(1, p.cols + 1)]
 
 
 def _edges(partner: Sequence[int], table: list[Pos]) -> list[Edge]:
@@ -138,7 +133,7 @@ def _match_or_raise(p: Picture) -> tuple[list[int], list[int]]:
 def matching_graph(p: Picture) -> MatchingGraph:
     """The row and column partner lists of a crossword; NotInDC off crosswords."""
     row, col = _match_or_raise(p)
-    return MatchingGraph(p.rows, p.cols, tuple(row), tuple(col), p)
+    return MatchingGraph(tuple(row), tuple(col), p)
 
 
 def _rectangles(p: Picture, row: list[int], col: list[int]) -> tuple[list, list]:
@@ -151,38 +146,38 @@ def _rectangles(p: Picture, row: list[int], col: list[int]) -> tuple[list, list]
     cells, cols = p.cells, p.cols
     rects, owner = [], [None] * len(cells)
     for a, b in enumerate(row):
-        # a partner is read only once it lies ahead: a -1 would index the last cell
-        if b > a and cells[a].role == "a" and (c := col[a]) > a and row[c] == (d := col[b]) > b:
+        # a partner is read only once it lies ahead: a -1 would index the last cell.  An
+        # opener of its row is an a or a c, of its column an a or a b, so a is an a.
+        if b > a and (c := col[a]) > a and row[c] == (d := col[b]) > b:
             owner[a] = owner[b] = owner[c] = owner[d] = rid = len(rects)
             (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
             rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, rid))
     return rects, owner
 
 
-def _walk(cells: tuple, cols: int, row_of: Sequence[int], col_of: Sequence[int]) -> list[list[int]]:
+def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[list[int]]:
     """The circuits of two partner lists, as flat positions.
 
     A circuit starts at each a not yet seen, in row-major order, and follows
     the row partner first, so the circuits come out sorted by their start.
     Raises DegreeViolation unless the circuits partition the cells and each
     reads (a b d c)^+ with one index.
+
+    The lists pair every cell with another, so each step is undone by the list
+    it used: the walk is back at its start after an even number of steps before
+    it can repeat a node, and no later walk enters a closed circuit.
     """
     seen = bytearray(len(cells))
     out = []
     for start, s in enumerate(cells):
         if seen[start] or s.role != "a":
             continue
-        nodes, x, partner = [], start, row_of
+        nodes, x = [], start
         while True:
-            nodes.append(x)
-            seen[x] = 1
-            x = partner[x]
-            partner = col_of if partner is row_of else row_of
-            if x == start:
+            nodes += (x, y := row_of[x])
+            seen[x] = seen[y] = 1
+            if (x := col_of[y]) == start:
                 break
-            if seen[x]:
-                pos = (x // cols + 1, x % cols + 1)
-                raise DegreeViolation(f"circuit through {pos} is not simple")
         if len(nodes) % 4:
             raise DegreeViolation(f"circuit length {len(nodes)} not divisible by 4")
         labels = [cells[x] for x in nodes]
@@ -207,8 +202,8 @@ def circuits(g: MatchingGraph) -> list[Circuit]:
     over g's two partner lists yields the circuits; it raises DegreeViolation
     unless they partition the nodes and each reads that law with one index.
     """
-    cells, table = g.picture.cells, _positions(g.rows, g.cols)
-    return [_circuit(c, table, cells) for c in _walk(cells, g.cols, g.row_of, g.col_of)]
+    cells, table = g.picture.cells, _positions(g.picture)
+    return [_circuit(c, table, cells) for c in _walk(cells, g.row_of, g.col_of)]
 
 
 def picture_circuits(p: Picture) -> list[Circuit]:
@@ -230,8 +225,8 @@ def is_quaternate(p: Picture) -> bool:
 
 def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[str], list[list[int]]]:
     """Per flat position its node, label text and circuit colour, and the circuits."""
-    cells, table = g.picture.cells, _positions(g.rows, g.cols)
-    circs = _walk(cells, g.cols, g.row_of, g.col_of)
+    cells, table = g.picture.cells, _positions(g.picture)
+    circs = _walk(cells, g.row_of, g.col_of)
     color = [""] * len(cells)
     for n, c in enumerate(circs):
         for x in c:
@@ -270,8 +265,8 @@ def graph_to_json(g: MatchingGraph) -> str:
     """
     table, labels, _, circs = _export_parts(g)
     obj = {
-        "rows": g.rows,
-        "cols": g.cols,
+        "rows": g.picture.rows,
+        "cols": g.picture.cols,
         "nodes": [(i, j, label) for (i, j), label in zip(table, labels)],
         "row_edges": _edges(g.row_of, table),
         "col_edges": _edges(g.col_of, table),

@@ -54,8 +54,8 @@ class DegreeViolation(Dyck2dError):
 
     Raised when a MatchingGraph is built by hand from partner lists that do
     not pair every node with exactly one other node, or when its circuits
-    are not simple, not a partition of the nodes, or not (a b d c)^+ with
-    one index.  Cannot occur for graphs built from crossword pictures.
+    are not a partition of the nodes, or not (a b d c)^+ with one index.
+    Cannot occur for graphs built from crossword pictures.
     """
 
 
@@ -69,13 +69,6 @@ class HierarchyViolation(Dyck2dError, AssertionError):
 
 class NotQuaternate(Dyck2dError):
     """Picture has a circuit longer than 4."""
-
-
-class ThreeCornerAnomaly(Dyck2dError):
-    """Exactly three corners of a rectangle inside another rectangle's box.
-
-    Impossible for quaternate pictures; signals a bug.
-    """
 
 
 class LengthMismatch(Dyck2dError):

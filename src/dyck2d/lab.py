@@ -257,7 +257,7 @@ def hamiltonian_search(
     for rows in range(2, max_rows + 1, 2):
         for cols in range(2, max_cols + 1, 2):
             for p, row, col, _, _ in _enumerate_matched(rows, cols, k):
-                if len(_walk(p.cells, cols, row, col)) == 1:
+                if len(_walk(p.cells, row, col)) == 1:
                     found.append(p)
     return found
 

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 
 from .crossword import Circuit, _matching, _rectangles, picture_circuits
-from .errors import NotQuaternate, StaleRedex, ThreeCornerAnomaly
+from .errors import NotQuaternate, StaleRedex
 from .grid import NEUTRAL, Domain, N, Picture
 
 Pos = tuple[int, int]
@@ -195,34 +195,25 @@ class PrecedenceGraph:
         return "\n".join(lines)
 
 
-def _bounding_box(r: Circuit) -> tuple[int, int, int, int]:
-    rows = [i for i, _ in r.nodes]
-    cols = [j for _, j in r.nodes]
-    return min(rows), min(cols), max(rows), max(cols)
-
-
 def priority_graph(p: Picture) -> PrecedenceGraph:
     """The precedence graph of p; NotInDC off crosswords, NotQuaternate off DQ.
 
     Rectangle alpha has priority over beta (edge alpha -> beta, alpha must be
     neutralized first) when 1, 2 or 4 of alpha's corners lie inside beta's
-    bounding box or on its sides; a count of 3 is impossible and asserted.
+    bounding box or on its sides.  A count of 3 is impossible: any three
+    corners span both rows and both columns of alpha, so the fourth is in too.
     """
     rects = tuple(picture_circuits(p))
     if any(r.length != 4 for r in rects):
         raise NotQuaternate("precedence is defined for quaternate pictures")
     edges = set()
-    boxes = {r.northwest: _bounding_box(r) for r in rects}
     for alpha in rects:
         for beta in rects:
             if alpha is beta:
                 continue
-            top, left, bottom, right = boxes[beta.northwest]
+            # each circuit reads a b d c from its a, so its box spans its a to its d
+            (top, left), _, (bottom, right), _ = beta.nodes
             inside = sum(top <= i <= bottom and left <= j <= right for i, j in alpha.nodes)
-            if inside == 3:
-                raise ThreeCornerAnomaly(
-                    f"{alpha.northwest} has 3 corners inside {beta.northwest}"
-                )
             if inside in (1, 2, 4):
                 edges.add((alpha.northwest, beta.northwest))
     return PrecedenceGraph(rects, frozenset(edges))

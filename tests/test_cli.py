@@ -65,6 +65,20 @@ class TestClassify:
         assert main(["classify", "--k", "2", path]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["in_dw"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1 b1\nc1 d1", "unknown token 'x1'"),
+            ("a0 b1\nc1 d1", "index 0 outside [1..2] in token 'a0'"),
+            ("a3 b1\nc1 d1", "index 3 outside [1..2] in token 'a3'"),
+            ("a1 b1\nc1 d1 a1", "lines of unequal length"),
+        ],
+    )
+    def test_k2_bad_picture(self, tmp_path, capsys, text, message):
+        # the parser's own words, not those of Symbol or Picture behind it
+        assert main(["classify", "--k", "2", write(tmp_path, text)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 @pytest.mark.parametrize("k", ["0", "-3"])
 @pytest.mark.parametrize("verb", ["classify", "neutralize", "graph"])

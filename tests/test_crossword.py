@@ -17,7 +17,7 @@ from dyck2d.crossword import (
     picture_circuits,
 )
 from dyck2d.errors import ContainsNeutral, DegreeViolation, NotInDC
-from dyck2d.grid import BULLET_SYM, N, Picture, parse_picture, sym
+from dyck2d.grid import BULLET_SYM, N, Picture, empty_picture, parse_picture, sym
 from dyck2d.lab import double_noose, enumerate_dc
 
 from oracles import (
@@ -231,7 +231,7 @@ class TestDegreeViolation:
     COL = (2, 3, 0, 1)
 
     def graph(self, row_of, col_of, text="ab\ncd"):
-        return MatchingGraph(2, 2, row_of, col_of, parse_picture(text))
+        return MatchingGraph(row_of, col_of, parse_picture(text))
 
     def test_well_formed(self):
         assert [c.label_text for c in circuits(self.graph(self.ROW, self.COL))] == ["abdc"]
@@ -247,8 +247,13 @@ class TestDegreeViolation:
             self.graph(self.ROW, (2, -1, 0, 1))
 
     def test_node_outside_the_grid(self):
-        with pytest.raises(DegreeViolation, match="^column partner off the grid$"):
-            self.graph(self.ROW, (2, 5, 0, 1))
+        # 4 is the first position past the grid of four nodes
+        for col_of in ((2, 5, 0, 1), (2, 4, 0, 1)):
+            with pytest.raises(DegreeViolation, match="^column partner off the grid$"):
+                self.graph(self.ROW, col_of)
+
+    def test_empty_graph(self):
+        assert circuits(MatchingGraph((), (), empty_picture())) == []
 
     def test_wrong_length(self):
         with pytest.raises(DegreeViolation, match="^3 row partners for 4 nodes$"):
@@ -260,16 +265,13 @@ class TestDegreeViolation:
         with pytest.raises(DegreeViolation, match="^node is its own row partner$"):
             self.graph((0, 1, 3, 2), self.COL)
 
-    def test_picture_of_another_size(self):
-        with pytest.raises(DegreeViolation, match="^2x2 graph on a 2x4 picture$"):
-            self.graph(self.ROW, self.COL, "abab\ncdcd")
-        g = matching_graph(parse_picture("aabb\nccdd"))
-        with pytest.raises(DegreeViolation, match="^2x4 graph on a 2x2 picture$"):
-            MatchingGraph(2, 4, g.row_of, g.col_of, parse_picture("ab\ncd"))
-
     def test_labels_break_the_abdc_law(self):
         with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):
             circuits(self.graph(self.ROW, self.COL, "ab\ndc"))
+        # the roles read abdc, but the circuit carries two indices
+        g = MatchingGraph(self.ROW, self.COL, parse_picture("a1 b1\nc1 d2", 2))
+        with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):
+            circuits(g)
 
     def test_circuit_of_length_two(self):
         with pytest.raises(DegreeViolation, match="^circuit length 2 not divisible by 4$"):

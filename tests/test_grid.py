@@ -58,6 +58,8 @@ class TestSymbol:
     def test_unknown_role(self):
         with pytest.raises(UnknownToken):
             Symbol("x", 1)
+        with pytest.raises(UnknownToken):
+            Symbol("x")
 
     def test_interning(self):
         assert sym("a", 1) is sym("a", 1)
@@ -75,6 +77,8 @@ class TestParseRender:
 
     def test_glyph_and_ascii_parse_alike(self):
         assert parse_picture("⌜⌝\n⌞⌟") == parse_picture("ab\ncd")
+        assert parse_picture("⌜2 ⌝2\n⌞2 ⌟2", k=2) == parse_picture("a2 b2\nc2 d2", k=2)
+        assert render_picture(parse_picture("aNb\nc*d"), "glyph") == "⌜N⌝\n⌞•⌟"
 
     def test_bullet_alias(self):
         p = parse_picture("a*b\nc*d")
@@ -85,6 +89,14 @@ class TestParseRender:
         p = parse_picture("a2 b2\nc2 d2", k=2)
         assert p.cell(1, 1) == sym("a", 2)
         assert render_picture(p) == "a2 b2\nc2 d2"
+        # the neutral and bullet tokens carry no index, at any k
+        p = parse_picture("a1 N b1\nc1 * d1\na2 • b2\nc2 N d2", k=2)
+        assert [s.role for s in p.col_word(2)] == ["N", "•", "•", "N"]
+        assert render_picture(p) == "a1 N b1\nc1 • d1\na2 • b2\nc2 N d2"
+        # a corner with no index is index 1, and a line of one token is one cell
+        a1, b2, c1, d2 = sym("a", 1), sym("b", 2), sym("c", 1), sym("d", 2)
+        assert parse_picture("a b2\nc d2", k=2).cells == (a1, b2, c1, d2)
+        assert parse_picture("a2\nc2", k=2).cells == (sym("a", 2), sym("c", 2))
 
     def test_index_outside_k(self):
         with pytest.raises(IndexOutOfRange):
@@ -103,8 +115,13 @@ class TestParseRender:
             parse_picture("ab\nabc")
 
     def test_unknown_token(self):
-        with pytest.raises(UnknownToken):
-            parse_picture("ax\nbd")
+        for text, k in (("ax\nbd", 1), ("ax b1\nc1 d1", 2), ("a+2 b1\nc1 d1", 2)):
+            with pytest.raises(UnknownToken):
+                parse_picture(text, k)
+
+    def test_unknown_style(self):
+        with pytest.raises(ValueError, match="^unknown style 'html'$"):
+            render_picture(parse_picture("ab\ncd"), "html")
 
     @pytest.mark.parametrize("token", ["a\u00b2", "a\u0662", "a\uff12"])
     def test_non_ascii_index(self, token):
@@ -145,6 +162,11 @@ class TestPicture:
     def test_empty(self):
         e = empty_picture()
         assert e.is_empty and e.cells == ()
+        assert e.row_word(1) == e.col_word(1) == ()
+
+    def test_cell_count(self):
+        with pytest.raises(ValueError, match="^cells length must be rows \\* cols$"):
+            Picture(2, 2, 1, (sym("a", 1), sym("b", 1)))
 
     def test_index_above_k(self):
         # parse_picture rejects such indices first, so only these reach Picture's own check
@@ -168,7 +190,7 @@ class TestPicture:
             picture_from_json(blob)
 
     def test_rows_of_no_cells_are_the_empty_picture(self):
-        assert picture_from_rows([[], []]) == empty_picture()
+        assert picture_from_rows([]) == picture_from_rows([[], []]) == empty_picture()
         assert picture_from_rows([[], []], k=2) == empty_picture(2)
         with pytest.raises(RaggedRows):
             picture_from_rows([[], [sym("a", 1)]])
@@ -181,6 +203,8 @@ class TestConcat:
         for axis in ("horizontal", "vertical"):
             assert concat(p, e, axis) == p
             assert concat(e, p, axis) == p
+        # joining only empty pictures gives the last one, k and all
+        assert hcat(empty_picture(3)).k == vcat(empty_picture(), empty_picture(3)).k == 3
 
     def test_horizontal(self):
         p = parse_picture("ab\ncd")
@@ -189,6 +213,10 @@ class TestConcat:
     def test_vertical(self):
         p = parse_picture("ab\ncd")
         assert render_picture(concat(p, p, "vertical")) == "ab\ncd\nab\ncd"
+
+    def test_unknown_axis(self):
+        with pytest.raises(ValueError, match="^unknown axis 'diagonal'$"):
+            concat(parse_picture("ab\ncd"), parse_picture("ab\ncd"), "diagonal")
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
@@ -226,8 +254,9 @@ class TestConcat:
 
 class TestDomainSubpicture:
     def test_malformed_domain(self):
-        with pytest.raises(DomainOutOfBounds):
-            Domain(2, 1, 1, 1)
+        for bounds in ((2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
+            with pytest.raises(DomainOutOfBounds, match="^malformed domain"):
+                Domain(*bounds)
 
     def test_subpicture(self):
         p = parse_picture("abab\ncdcd\nabab")
@@ -235,5 +264,6 @@ class TestDomainSubpicture:
         assert render_picture(q) == "dc\nba"
 
     def test_out_of_bounds(self):
-        with pytest.raises(DomainOutOfBounds):
+        # checked before any cell is read, so the message names the domain
+        with pytest.raises(DomainOutOfBounds, match=r"^\(1, 1, 2, 2\) outside 1x2$"):
             subpicture(parse_picture("ab"), Domain(1, 1, 2, 2))

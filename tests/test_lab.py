@@ -82,6 +82,10 @@ class TestEnumerateDC:
         assert list(enumerate_dc(3, 4)) == []
         assert list(enumerate_dc(2, 5)) == []
 
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (-2, 2)])
+    def test_empty_or_negative_sizes_empty(self, rows, cols):
+        assert list(enumerate_dc(rows, cols)) == []
+
     def test_2x2(self):
         [p] = enumerate_dc(2, 2)
         assert render_picture(p) == "ab\ncd"
@@ -231,6 +235,8 @@ class TestCensus:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             census(3, 4)
+        with pytest.raises(InvalidArgument, match="^census sizes must be even$"):
+            census(4, 3)
 
     @pytest.mark.parametrize("rows, cols, k", [(0, 2, 1), (2, 0, 1), (-2, 2, 1), (2, -2, 1), (2, 2, 0)])
     def test_empty_or_negative_rejected(self, rows, cols, k):
@@ -263,7 +269,7 @@ class TestEmbedRow:
 
 class TestDoubleNoose:
     def test_h_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument, match="^h must be >= 1$"):
             double_noose(0)
 
     def test_base(self, fx):
@@ -325,8 +331,9 @@ class TestHamiltonianSearch:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             hamiltonian_search(8, 8, budget=36)
+        assert len(hamiltonian_search(2, 2, budget=4)) == 1  # a search of exactly the budget runs
 
-    @pytest.mark.parametrize("bounds", [(0, 4, 1), (4, -2, 1), (4, 4, 0), (-8, -8, 1)])
+    @pytest.mark.parametrize("bounds", [(0, 4, 1), (4, 0, 1), (4, -2, 1), (4, 4, 0), (-8, -8, 1)])
     def test_non_positive_bounds_rejected(self, bounds):
         # (-8, -8) is over the 36-cell budget too: the bounds are checked first
         with pytest.raises(InvalidArgument):

@@ -446,10 +446,13 @@ def db_closure():
 class TestChineseBoxes:
     def test_accretion_of_empty(self):
         assert render_picture(chinese_accretion(empty_picture())) == "ab\ncd"
+        assert chinese_accretion(empty_picture(3)) == parse_picture("ab\ncd")
 
     def test_accretion_frames_with_bullets(self):
         p = chinese_accretion(parse_picture("ab\ncd"))
         assert render_picture(p) == "a••b\n•ab•\n•cd•\nc••d"
+        p = chinese_accretion(parse_picture("a2 b2\nc2 d2", 2))
+        assert render_picture(p) == "a1 • • b1\n• a2 b2 •\n• c2 d2 •\nc1 • • d1"
 
     def test_neutral_rejected(self):
         with pytest.raises(ContainsNeutral):
