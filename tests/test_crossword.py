@@ -265,6 +265,14 @@ class TestDegreeViolation:
         with pytest.raises(DegreeViolation, match="^node is its own row partner$"):
             self.graph((0, 1, 3, 2), self.COL)
 
+    def test_picture_of_another_size(self):
+        # the node count is the picture's, so lists built for another size are rejected
+        with pytest.raises(DegreeViolation, match="^4 row partners for 8 nodes$"):
+            self.graph(self.ROW, self.COL, "abab\ncdcd")
+        g = matching_graph(parse_picture("aabb\nccdd"))
+        with pytest.raises(DegreeViolation, match="^8 row partners for 4 nodes$"):
+            MatchingGraph(g.row_of, g.col_of, parse_picture("ab\ncd"))
+
     def test_labels_break_the_abdc_law(self):
         with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):
             circuits(self.graph(self.ROW, self.COL, "ab\ndc"))
