@@ -158,20 +158,18 @@ class PrecedenceGraph:
     priority_edges: frozenset[tuple[Pos, Pos]]
 
     def precedence(self) -> frozenset[tuple[Pos, Pos]]:
-        """Transitive closure of the priority relation."""
-        succ: dict[Pos, set[Pos]] = {r.northwest: set() for r in self.rectangles}
+        """Transitive closure of the priority relation, by one walk from each rectangle."""
+        succ: dict[Pos, list[Pos]] = {r.northwest: [] for r in self.rectangles}
         for a, b in self.priority_edges:
-            succ[a].add(b)
-        closed = set(self.priority_edges)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closed):
-                for c in succ[b]:
-                    if (a, c) not in closed:
-                        closed.add((a, c))
-                        succ[a].add(c)
-                        changed = True
+            succ[a].append(b)
+        closed = set()
+        for a, out in succ.items():
+            seen, stack = set(), list(out)
+            while stack:
+                if (b := stack.pop()) not in seen:
+                    seen.add(b)
+                    stack += succ[b]
+            closed.update((a, b) for b in seen)
         return frozenset(closed)
 
     def is_acyclic(self) -> bool:
@@ -200,8 +198,8 @@ def priority_graph(p: Picture) -> PrecedenceGraph:
 
     Rectangle alpha has priority over beta (edge alpha -> beta, alpha must be
     neutralized first) when 1, 2 or 4 of alpha's corners lie inside beta's
-    bounding box or on its sides.  A count of 3 is impossible: any three
-    corners span both rows and both columns of alpha, so the fourth is in too.
+    bounding box or on its sides, that is when any does: three corners span
+    both rows and both columns of alpha, so a count of 3 puts the fourth in.
     """
     rects = tuple(picture_circuits(p))
     if any(r.length != 4 for r in rects):
@@ -213,8 +211,7 @@ def priority_graph(p: Picture) -> PrecedenceGraph:
                 continue
             # each circuit reads a b d c from its a, so its box spans its a to its d
             (top, left), _, (bottom, right), _ = beta.nodes
-            inside = sum(top <= i <= bottom and left <= j <= right for i, j in alpha.nodes)
-            if inside in (1, 2, 4):
+            if any(top <= i <= bottom and left <= j <= right for i, j in alpha.nodes):
                 edges.add((alpha.northwest, beta.northwest))
     return PrecedenceGraph(rects, frozenset(edges))
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .crossword import _crossword_matching
+from .crossword import _matching
 from .dyck1d import COL, ROW, Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from .grid import BULLET, BULLET_SYM, NEUTRAL, Picture, picture_from_rows, sym
@@ -85,26 +85,25 @@ def _well_nested(p: Picture, row: list[int], col: list[int], mixed: bool = True)
     tiled by accretions, so the border rings (top and bottom rows, left and
     right columns) of its frames partition the cells.  One row-major scan
     claims them: the first unclaimed cell must be an a whose box (its row and
-    column partners are the top-right and bottom-left corners) is a frame
-    whose ring meets no claimed cell.  That cell is the top-left corner of
-    its ring, so a member's rings are found one by one.  Conversely, rings
-    that share no cell are closed loops, so their boxes nest or are disjoint
-    (two boxes that meet with neither inside the other cross borders), and
-    each core is tiled by the frames inside it.
+    column partners are the top-right and bottom-left corners) is a frame.
+    That cell is the top-left corner of its ring, so a member's rings are
+    found one by one.  Every cell ends up claimed, so the ring sizes sum to
+    the cell count iff no two rings share a cell.  Rings that share no cell
+    are closed loops, so their boxes nest or are disjoint (two boxes that
+    meet with neither inside the other cross borders), and each core is
+    tiled by the frames inside it.
     """
     cells, cols = p.cells, p.cols
-    claimed, a = bytearray(len(cells)), 0
+    claimed, size, a = bytearray(len(cells)), 0, 0
     while (a := claimed.find(0, a)) >= 0:
         if cells[a].role != "a" or not _is_frame(p, row, col, a, mixed):
             return False
         b, c = row[a], col[a]
-        top, bottom = slice(a, b + 1), slice(c, c + b - a + 1)
-        left, right = slice(a + cols, c, cols), slice(b + cols, c + b - a, cols)
-        if any(1 in claimed[side] for side in (top, bottom, left, right)):
-            return False
-        claimed[top] = claimed[bottom] = b"\1" * (b - a + 1)
-        claimed[left] = claimed[right] = b"\1" * ((c - a) // cols - 1)
-    return True
+        w, h = b - a + 1, (c - a) // cols - 1
+        claimed[a : b + 1] = claimed[c : c + w] = b"\1" * w
+        claimed[a + cols : c : cols] = claimed[b + cols : c + w - 1 : cols] = b"\1" * h
+        size += 2 * (w + h)
+    return size == len(cells)
 
 
 def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
@@ -114,15 +113,11 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
     well-nested core (the frame determines the border words uniquely), or it
     partitions into at least two well-nested subpictures.  On a crossword
     each a anchors one box, and one scan claims the frames' rings; see
-    _well_nested.  A picture with a neutral or bullet cell is not in DW.
+    _well_nested.  Neutral and bullet cells are never matched, so a picture
+    with one is not in DW; the empty picture's scan claims nothing.
     """
-    if p.is_empty:
-        return True
-    try:
-        match = _crossword_matching(p)
-    except ContainsNeutral:
-        return False
-    return match is not None and _well_nested(p, *match, mixed_border_indices)
+    row, col = _matching(p)
+    return -1 not in row and -1 not in col and _well_nested(p, row, col, mixed_border_indices)
 
 
 def chinese_accretion(p: Picture) -> Picture:
@@ -176,14 +171,12 @@ def in_DB(p: Picture) -> bool:
     the list is cut at the gaps of its merged column intervals, else of its
     merged row intervals, or rejected.  A straight cut of a concatenation
     leaves concatenations on both sides, so no cut loses a member; the
-    pinwheel, a tiling by boxes, has no straight cut.  Rings are not checked
-    for overlap: two crossing rings share a column and a row interval, so
-    no cut separates them, and neither lies in the other's core, so neither
+    pinwheel, a tiling by boxes, has no straight cut.  Ring cells are not
+    counted: two crossing rings share a column and a row interval, so no
+    cut separates them, and neither lies in the other's core, so neither
     is peeled and their list is rejected.  Nothing is copied, remembered or
     recursed into.
     """
-    if p.is_empty:
-        return True
     cols, roles = p.cols, "".join([s.role for s in p.cells])
     claimed, boxes, a = bytearray(len(roles)), [], 0
     while (a := claimed.find(0, a)) >= 0:
@@ -195,7 +188,7 @@ def in_DB(p: Picture) -> bool:
         if h:  # a shortcut, not a condition: a 2x2 box's side slices are empty
             claimed[a + cols : c : cols] = claimed[a + w - 1 + cols : c + w - 1 : cols] = b"\1" * h
         boxes.append(box)
-    work = [boxes]
+    work = [boxes] if len(boxes) > 1 else []
     while work:
         tiles = work.pop()
         right = min(tiles)[3]

@@ -258,15 +258,22 @@ class TestPrecedence:
             assert (a, b) in g.priority_edges
 
     def test_precedence_is_transitive(self, fx):
-        # fig5_right's priority edges are not transitive themselves
-        for name in ("fig1_left", "fig5_right"):
-            g = priority_graph(fx[name])
-            closure = g.precedence()
-            assert g.priority_edges <= closure
-            for a, b in closure:
-                for c, d in closure:
-                    if b == c:
-                        assert (a, d) in closure
+        # precedence() is exactly the pairs joined by a path of priority edges, by
+        # Warshall's algorithm; fig5_right's priority edges are not transitive themselves
+        from dyck2d.crossword import is_quaternate
+        from test_wellnest import deep_nest
+
+        tiled = vcat(*[hcat(*[fx["fig5_right"]] * 3)] * 3)
+        pool = [fx[name] for name in ("fig1_left", "fig5_left", "fig5_right")] + [tiled, deep_nest(10)]
+        pool += [p for p in enumerate_dc(4, 4) if is_quaternate(p)]
+        for p in pool:
+            g = priority_graph(p)
+            nodes, paths = [r.northwest for r in g.rectangles], set(g.priority_edges)
+            for via in nodes:
+                for a in nodes:
+                    if (a, via) in paths:
+                        paths.update((a, b) for b in nodes if (via, b) in paths)
+            assert g.precedence() == paths, render_picture(p)
 
     def test_dot(self, fx):
         dot = priority_graph(fx["fig5_left"]).to_dot()

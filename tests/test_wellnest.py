@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dyck2d.crossword import _matching, in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
 from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
-from dyck2d import wellnest
+from dyck2d import crossword, wellnest
 from dyck2d.grid import (
     BULLET_SYM,
     Domain,
@@ -164,9 +164,23 @@ class TestNestingAccretion:
         assert in_DW(p)
 
 
+BORDER_MODES = pytest.mark.parametrize("mixed", [True, False], ids=["mixed", "uniform"])
+
+
+@pytest.fixture
+def no_corner_pre_pass(monkeypatch):
+    # neutral and bullet cells are never matched, and the empty picture's scan
+    # claims nothing, so in_DW needs no corner pre-pass
+    def no_pre_pass(p):
+        raise AssertionError("in_DW ran the corner pre-pass")
+
+    monkeypatch.setattr(crossword, "_require_corners", no_pre_pass)
+
+
 class TestInDW:
-    def test_empty(self):
-        assert in_DW(empty_picture())
+    @BORDER_MODES
+    def test_empty(self, mixed, no_corner_pre_pass):
+        assert in_DW(empty_picture(), mixed_border_indices=mixed)
 
     def test_minimal(self):
         assert in_DW(parse_picture("ab\ncd"))
@@ -188,9 +202,13 @@ class TestInDW:
     def test_odd_sizes_rejected(self):
         assert not in_DW(parse_picture("ab"))
 
-    def test_neutral_and_bullet_cells(self):
-        assert not in_DW(parse_picture("aNNb\ncNNd"))
-        assert not in_DW(parse_picture("a**b\nc**d"))
+    @BORDER_MODES
+    def test_neutral_and_bullet_cells(self, mixed, no_corner_pre_pass):
+        assert not in_DW(parse_picture("aNNb\ncNNd"), mixed_border_indices=mixed)
+        assert not in_DW(parse_picture("a**b\nc**d"), mixed_border_indices=mixed)
+
+    def test_matching_settles_every_special_case(self, no_corner_pre_pass):
+        assert in_DW(deep_nest(60))
 
     def test_uniform_border_indices(self):
         core = parse_picture("a1 b1\nc1 d1", k=2)
@@ -283,8 +301,8 @@ class TestInDW:
 
     def test_woven_frames_are_not_well_nested(self):
         # two nested tall frames (columns 3-8, 4-7) woven through two nested wide ones
-        # (rows 3-8, 4-7): every ring is a frame, but rings cross, so the scan must
-        # reject a ring that meets a claimed cell; no crossword up to 48 cells needs that
+        # (rows 3-8, 4-7): every ring is a frame and every cell ends up claimed, but rings
+        # cross, so their sizes sum past the cell count; no crossword up to 48 cells needs that
         p = parse_picture(
             "abaaabbbab\ncdaaabbbcd\n"
             + "aaaaabbbbb\n" * 3
