@@ -13,7 +13,6 @@ from .grid import (
     empty_picture,
     parse_picture,
     render_picture,
-    subpicture,
     sym,
 )
 from .dyck1d import (
@@ -76,6 +75,5 @@ __all__ = [
     "prime_factorize",
     "priority_graph",
     "render_picture",
-    "subpicture",
     "sym",
 ]

@@ -7,7 +7,6 @@ Chinese-boxes alphabet.  All values are immutable; every operation is pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -26,8 +25,7 @@ CORNER_ROLES = ("a", "b", "c", "d")
 NEUTRAL = "N"
 BULLET = "•"  # ascii alias "*"
 
-_GLYPH_OF = {"a": "⌜", "b": "⌝", "c": "⌞", "d": "⌟"}
-_ROLE_OF_GLYPH = {v: k for k, v in _GLYPH_OF.items()}
+_ROLE_OF_GLYPH = {"⌜": "a", "⌝": "b", "⌞": "c", "⌟": "d"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,13 +53,10 @@ class Symbol:
     def is_neutral(self) -> bool:
         return self.role == NEUTRAL
 
-    def text(self, k: int = 1, glyph: bool = False) -> str:
-        base = self.role
-        if glyph and self.role in _GLYPH_OF:
-            base = _GLYPH_OF[self.role]
+    def text(self, k: int = 1) -> str:
         if self.is_corner and k > 1:
-            return f"{base}{self.index}"
-        return base
+            return f"{self.role}{self.index}"
+        return self.role
 
 
 @lru_cache(maxsize=None)
@@ -89,14 +84,6 @@ class Domain:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.top, self.left, self.bottom, self.right)
-
-    @property
-    def rows(self) -> int:
-        return self.bottom - self.top + 1
-
-    @property
-    def cols(self) -> int:
-        return self.right - self.left + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,9 +117,6 @@ class Picture:
     def row_word(self, i: int) -> tuple[Symbol, ...]:
         return self.cells[(i - 1) * self.cols : i * self.cols]
 
-    def col_word(self, j: int) -> tuple[Symbol, ...]:
-        return self.cells[j - 1 :: self.cols] if self.cols else ()
-
 
 def empty_picture(k: int = 1) -> Picture:
     return Picture(0, 0, k, ())
@@ -153,20 +137,28 @@ def _parse_token(tok: str, k: int) -> Symbol:
         return N
     if tok in (BULLET, "*"):
         return BULLET_SYM
-    role, rest = tok[0], tok[1:]
-    if role in _ROLE_OF_GLYPH:
-        role = _ROLE_OF_GLYPH[role]
+    role, rest = _ROLE_OF_GLYPH.get(tok[0], tok[0]), tok[1:]
     if role not in CORNER_ROLES:
-        raise UnknownToken(f"unknown token {tok!r}")
-    if rest:
-        if not (rest.isascii() and rest.isdecimal()):
-            raise UnknownToken(f"unknown token {tok!r}")
-        index = int(rest)
-    else:
-        index = 1
+        raise UnknownToken(f"unknown token {_shown(tok)}")
+    if not rest:
+        return sym(role, 1)
+    if not (rest.isascii() and rest.isdecimal()):
+        raise UnknownToken(f"unknown token {_shown(tok)}")
+    # compare lengths before int(), which refuses strings of more than 4300 digits
+    digits = rest.lstrip("0")
+    if len(digits) > len(str(k)):
+        raise IndexOutOfRange(
+            f"index of {len(digits)} digits outside [1..{k}] in token {_shown(tok)}"
+        )
+    index = int(digits or "0")
     if not (1 <= index <= k):
-        raise IndexOutOfRange(f"index {index} outside [1..{k}] in token {tok!r}")
+        raise IndexOutOfRange(f"index {index} outside [1..{k}] in token {_shown(tok)}")
     return sym(role, index)
+
+
+def _shown(tok: str) -> str:
+    """tok quoted for an error message, clipped when it is long."""
+    return repr(tok if len(tok) <= 32 else tok[:29] + "...")
 
 
 _SYMBOL_OF_CHAR = {
@@ -210,24 +202,10 @@ def parse_picture(text: str, k: int = 1) -> Picture:
     return picture_from_rows(rows, k)
 
 
-def render_picture(p: Picture, style: str = "ascii") -> str:
-    """Render a picture as text. Styles: ascii, glyph, json."""
-    if style == "json":
-        cells = [[s.role, s.index] for s in p.cells]
-        return json.dumps({"rows": p.rows, "cols": p.cols, "k": p.k, "cells": cells})
-    if style not in ("ascii", "glyph"):
-        raise ValueError(f"unknown style {style!r}")
-    glyph = style == "glyph"
+def render_picture(p: Picture) -> str:
+    """The text parse_picture reads back: a line per row, ascii roles, spaced tokens at k>1."""
     sep = " " if p.k > 1 else ""
-    return "\n".join(
-        sep.join(s.text(p.k, glyph) for s in p.row_word(i)) for i in range(1, p.rows + 1)
-    )
-
-
-def picture_from_json(text: str) -> Picture:
-    obj = json.loads(text)
-    cells = tuple(sym(role, idx) for role, idx in obj["cells"])
-    return Picture(obj["rows"], obj["cols"], obj["k"], cells)
+    return "\n".join(sep.join(s.text(p.k) for s in p.row_word(i)) for i in range(1, p.rows + 1))
 
 
 def concat(p: Picture, q: Picture, axis: str = "horizontal") -> Picture:
@@ -268,14 +246,3 @@ def hcat(*ps: Picture) -> Picture:
 
 def vcat(*ps: Picture) -> Picture:
     return _join(ps, horizontal=False)
-
-
-def subpicture(p: Picture, d: Domain) -> Picture:
-    if p.is_empty or d.bottom > p.rows or d.right > p.cols:
-        raise DomainOutOfBounds(f"{d.as_tuple()} outside {p.rows}x{p.cols}")
-    cells = tuple(
-        p.cell(i, j)
-        for i in range(d.top, d.bottom + 1)
-        for j in range(d.left, d.right + 1)
-    )
-    return Picture(d.rows, d.cols, p.k, cells)

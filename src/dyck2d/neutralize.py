@@ -182,16 +182,6 @@ class PrecedenceGraph:
         except graphlib.CycleError:
             return False
 
-    def to_dot(self) -> str:
-        lines = ["digraph precedence {"]
-        for r in self.rectangles:
-            i, j = r.northwest
-            lines.append(f'  "{i},{j}";')
-        for (a, b) in sorted(self.priority_edges):
-            lines.append(f'  "{a[0]},{a[1]}" -> "{b[0]},{b[1]}";')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def priority_graph(p: Picture) -> PrecedenceGraph:
     """The precedence graph of p; NotInDC off crosswords, NotQuaternate off DQ.

@@ -22,13 +22,11 @@ from math import comb
 
 from dyck2d.grid import (
     BULLET,
-    Domain,
     N,
     Picture,
     empty_picture,
     hcat,
     parse_picture,
-    subpicture,
     sym,
     vcat,
 )
@@ -39,6 +37,17 @@ COL_PAIRS = {("a", "c"), ("b", "d")}
 
 def _pairs(kind: str) -> set[tuple[str, str]]:
     return ROW_PAIRS if kind == "Row" else COL_PAIRS
+
+
+def _col_word(p: Picture, j: int) -> list:
+    """Column j (1-based), top to bottom."""
+    return [p.cell(i, j) for i in range(1, p.rows + 1)]
+
+
+def _sub(p: Picture, top: int, left: int, bottom: int, right: int) -> tuple:
+    """The 1-based inclusive sub-rectangle as the (rows, cols, cells) key of a member set."""
+    cells = tuple(p.cell(i, j) for i in range(top, bottom + 1) for j in range(left, right + 1))
+    return (bottom - top + 1, right - left + 1, cells)
 
 
 def oracle_is_dyck(word, kind: str) -> bool:
@@ -114,7 +123,7 @@ def oracle_in_dc(p: Picture) -> bool:
         return False
     return all(
         oracle_is_dyck(p.row_word(i), "Row") for i in range(1, p.rows + 1)
-    ) and all(oracle_is_dyck(p.col_word(j), "Col") for j in range(1, p.cols + 1))
+    ) and all(oracle_is_dyck(_col_word(p, j), "Col") for j in range(1, p.cols + 1))
 
 
 def oracle_circuits(p: Picture) -> list[list[tuple[int, int]]]:
@@ -126,7 +135,7 @@ def oracle_circuits(p: Picture) -> list[list[tuple[int, int]]]:
             row_partner[(i, jc)] = (i, jo)
     col_partner: dict[tuple[int, int], tuple[int, int]] = {}
     for j in range(1, p.cols + 1):
-        for io, ic in oracle_match_positions(p.col_word(j), "Col"):
+        for io, ic in oracle_match_positions(_col_word(p, j), "Col"):
             col_partner[(io, j)] = (ic, j)
             col_partner[(ic, j)] = (io, j)
     todo = {(i, j) for i in range(1, p.rows + 1) for j in range(1, p.cols + 1)}
@@ -262,8 +271,7 @@ def _is_accretion_of(p: Picture, members: set) -> bool:
         p.cell(1 + t, p.cols) != sym(_H_C[s.role], s.index) for t, s in enumerate(w_c, 1)
     ):
         return False
-    core = subpicture(p, Domain(2, 2, p.rows - 1, p.cols - 1))
-    return (core.rows, core.cols, core.cells) in members
+    return _sub(p, 2, 2, p.rows - 1, p.cols - 1) in members
 
 
 def _has_partition(p: Picture, members: set) -> bool:
@@ -281,8 +289,7 @@ def _has_partition(p: Picture, members: set) -> bool:
                 }
                 if not rect <= left:
                     continue
-                piece = subpicture(p, Domain(top, lft, bottom, right))
-                if (piece.rows, piece.cols, piece.cells) not in members:
+                if _sub(p, top, lft, bottom, right) not in members:
                     continue
                 if cover(left - frozenset(rect), count + 1):
                     return True

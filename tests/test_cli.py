@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,23 @@ class TestClassify:
         # the parser's own words, not those of Symbol or Picture behind it
         assert main(["classify", "--k", "2", write(tmp_path, text)]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    @pytest.mark.parametrize("digits", [4301, 10**5])
+    def test_long_index(self, k, digits):
+        # a clean input error in a fresh process: exit 2, one short line, no traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "dyck2d.cli", "classify", "--k", k, "-"],
+            input="a" + "1" * digits + " b\nc d\n",
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in result.stderr and len(result.stderr.encode()) < 200
+        assert result.stderr.startswith(f"error: index of {digits} digits outside [1..{k}]")
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

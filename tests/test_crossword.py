@@ -81,7 +81,7 @@ class TestPartnerLists:
             col_pairs = {
                 (x * cols + j, y * cols + j)
                 for j in range(cols)
-                for x, y in oracle_cancelled_pairs(p.col_word(j + 1), "Col")
+                for x, y in oracle_cancelled_pairs(p.cells[j::cols], "Col")
             }
             for partner, pairs in zip(_matching(p), (row_pairs, col_pairs)):
                 assert {(x, y) for x, y in enumerate(partner) if x < y} == pairs
@@ -180,7 +180,7 @@ class TestMatchingGraph:
             assert g.col_edges == {
                 ((x, j), (y, j))
                 for j in range(1, p.cols + 1)
-                for x, y in oracle_match_positions(p.col_word(j), "Col")
+                for x, y in oracle_match_positions(p.cells[j - 1 :: p.cols], "Col")
             }
 
     def test_edge_endpoint_distances_are_odd(self):

@@ -1,4 +1,3 @@
-import json
 import time
 
 import pytest
@@ -20,10 +19,8 @@ from dyck2d.grid import (
     empty_picture,
     hcat,
     parse_picture,
-    picture_from_json,
     picture_from_rows,
     render_picture,
-    subpicture,
     sym,
     vcat,
 )
@@ -67,7 +64,6 @@ class TestSymbol:
     def test_text(self):
         assert sym("a", 2).text(k=3) == "a2"
         assert sym("a", 1).text() == "a"
-        assert sym("a", 1).text(glyph=True) == "⌜"
 
 
 class TestParseRender:
@@ -78,7 +74,6 @@ class TestParseRender:
     def test_glyph_and_ascii_parse_alike(self):
         assert parse_picture("⌜⌝\n⌞⌟") == parse_picture("ab\ncd")
         assert parse_picture("⌜2 ⌝2\n⌞2 ⌟2", k=2) == parse_picture("a2 b2\nc2 d2", k=2)
-        assert render_picture(parse_picture("aNb\nc*d"), "glyph") == "⌜N⌝\n⌞•⌟"
 
     def test_bullet_alias(self):
         p = parse_picture("a*b\nc*d")
@@ -91,7 +86,7 @@ class TestParseRender:
         assert render_picture(p) == "a2 b2\nc2 d2"
         # the neutral and bullet tokens carry no index, at any k
         p = parse_picture("a1 N b1\nc1 * d1\na2 • b2\nc2 N d2", k=2)
-        assert [s.role for s in p.col_word(2)] == ["N", "•", "•", "N"]
+        assert [s.role for s in p.cells[1::3]] == ["N", "•", "•", "N"]
         assert render_picture(p) == "a1 N b1\nc1 • d1\na2 • b2\nc2 N d2"
         # a corner with no index is index 1, and a line of one token is one cell
         a1, b2, c1, d2 = sym("a", 1), sym("b", 2), sym("c", 1), sym("d", 2)
@@ -119,9 +114,23 @@ class TestParseRender:
             with pytest.raises(UnknownToken):
                 parse_picture(text, k)
 
-    def test_unknown_style(self):
-        with pytest.raises(ValueError, match="^unknown style 'html'$"):
-            render_picture(parse_picture("ab\ncd"), "html")
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("digits", [4301, 10**5])
+    def test_long_index(self, k, digits):
+        # rejected by its length, before int() meets CPython's 4300-digit limit,
+        # and the message clips the token it echoes
+        text = "a" + "1" * digits + " b\nc d"
+        with pytest.raises(IndexOutOfRange, match=f"^index of {digits} digits outside ") as e:
+            parse_picture(text, k)
+        assert len(str(e.value)) < 200
+
+    def test_leading_zeros(self):
+        ab_cd = parse_picture("ab\ncd").cells
+        assert parse_picture("a01 b\nc d", 2).cells == ab_cd
+        zeros = "0" * 5000
+        assert parse_picture(f"a{zeros}1 b\nc d", 2).cells == ab_cd
+        with pytest.raises(IndexOutOfRange, match=r"^index 0 outside \[1..2\] in token 'a0+\.\.\.'$"):
+            parse_picture(f"a{zeros} b\nc d", 2)
 
     @pytest.mark.parametrize("token", ["a\u00b2", "a\u0662", "a\uff12"])
     def test_non_ascii_index(self, token):
@@ -131,12 +140,6 @@ class TestParseRender:
 
     def test_empty_text(self):
         assert parse_picture("  \n ").is_empty
-
-    def test_json_round_trip(self):
-        p = parse_picture("aNb\ncNd")
-        blob = render_picture(p, style="json")
-        assert json.loads(blob)["rows"] == 2
-        assert picture_from_json(blob) == p
 
     @given(grids)
     def test_round_trip_any(self, mat):
@@ -157,12 +160,11 @@ class TestPicture:
     def test_row_and_col_words(self):
         p = parse_picture("abab\ncdcd")
         assert [s.role for s in p.row_word(2)] == ["c", "d", "c", "d"]
-        assert [s.role for s in p.col_word(3)] == ["a", "c"]
 
     def test_empty(self):
         e = empty_picture()
         assert e.is_empty and e.cells == ()
-        assert e.row_word(1) == e.col_word(1) == ()
+        assert e.row_word(1) == ()
 
     def test_cell_count(self):
         with pytest.raises(ValueError, match="^cells length must be rows \\* cols$"):
@@ -170,9 +172,6 @@ class TestPicture:
 
     def test_index_above_k(self):
         # parse_picture rejects such indices first, so only these reach Picture's own check
-        blob = json.dumps({"rows": 1, "cols": 2, "k": 1, "cells": [["a", 2], ["b", 2]]})
-        with pytest.raises(IndexOutOfRange):
-            picture_from_json(blob)
         with pytest.raises(IndexOutOfRange):
             Picture(1, 2, 1, (sym("a", 2), sym("b", 2)))
         # the message names the first offending cell in row-major order, not the largest index
@@ -185,9 +184,6 @@ class TestPicture:
         cells = (sym("a", 1),) * max(rows * cols, 0)
         with pytest.raises(InvalidArgument):
             Picture(rows, cols, 1, cells)
-        blob = json.dumps({"rows": rows, "cols": cols, "k": 1, "cells": [["a", 1]] * len(cells)})
-        with pytest.raises(InvalidArgument):
-            picture_from_json(blob)
 
     def test_rows_of_no_cells_are_the_empty_picture(self):
         assert picture_from_rows([]) == picture_from_rows([[], []]) == empty_picture()
@@ -257,13 +253,3 @@ class TestDomainSubpicture:
         for bounds in ((2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
             with pytest.raises(DomainOutOfBounds, match="^malformed domain"):
                 Domain(*bounds)
-
-    def test_subpicture(self):
-        p = parse_picture("abab\ncdcd\nabab")
-        q = subpicture(p, Domain(2, 2, 3, 3))
-        assert render_picture(q) == "dc\nba"
-
-    def test_out_of_bounds(self):
-        # checked before any cell is read, so the message names the domain
-        with pytest.raises(DomainOutOfBounds, match=r"^\(1, 1, 2, 2\) outside 1x2$"):
-            subpicture(parse_picture("ab"), Domain(1, 1, 2, 2))

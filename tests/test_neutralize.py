@@ -103,7 +103,7 @@ class TestFindRedexes:
             found = sorted(_redexes(p), key=lambda r: (r[1], r[0], r[3], r[2]))
             expected = [(r, p.cell(r[0], r[1]).index) for r in found]
             actual = [(r.domain.as_tuple(), r.index) for r in find_redexes(p)]
-            assert actual == expected, render_picture(p, "glyph")
+            assert actual == expected, render_picture(p)
 
 
 class TestApplyStep:
@@ -172,7 +172,7 @@ class TestInDN:
         for p in rescan_pool(fx):
             d = in_DN(p)
             steps = [(r.domain.as_tuple(), r.index) for r in d.trace]
-            assert (steps, d.member) == oracle_greedy_trace(p), render_picture(p, "glyph")
+            assert (steps, d.member) == oracle_greedy_trace(p), render_picture(p)
 
     def test_exhaustive_matches_rescan_oracle(self, fx):
         for p in rescan_pool(fx):
@@ -180,7 +180,7 @@ class TestInDN:
             d = in_DN(p, "exhaustive")
             expected = (steps, True) if member else ([], False)
             actual = [(r.domain.as_tuple(), r.index) for r in d.trace], d.member
-            assert actual == expected, render_picture(p, "glyph")
+            assert actual == expected, render_picture(p)
 
     def test_scale(self, fx):
         tiled = vcat(*[hcat(*[fx["fig2"]] * 6)] * 6)
@@ -274,11 +274,6 @@ class TestPrecedence:
                     if (a, via) in paths:
                         paths.update((a, b) for b in nodes if (via, b) in paths)
             assert g.precedence() == paths, render_picture(p)
-
-    def test_dot(self, fx):
-        dot = priority_graph(fx["fig5_left"]).to_dot()
-        assert dot.startswith("digraph precedence {")
-        assert '"1,1" -> "3,3";' in dot
 
     def test_acyclicity_decides_dn_for_quaternate(self, fx):
         from dyck2d.crossword import is_quaternate
