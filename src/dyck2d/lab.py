@@ -78,8 +78,8 @@ def enumerate_dc(rows: int, cols: int, k: int = 1) -> Iterator[Picture]:
         yield p
 
 
-def _enumerate_matched(rows: int, cols: int, k: int) -> Iterator[tuple]:
-    """Each crossword of the given size as (picture, row, col, rects, owner).
+def _enumerate_matched(rows: int, cols: int, k: int, halve: bool = False) -> Iterator[tuple]:
+    """Each crossword of the given size as (picture, row, col, rects, owner, weight).
 
     Cells are filled in row-major order by an iterative search over an
     explicit stack.  One row stack and one stack per column hold the flat
@@ -103,6 +103,19 @@ def _enumerate_matched(rows: int, cols: int, k: int) -> Iterator[tuple]:
     crossword._crossword_matching(picture) and rects holds the rectangles;
     owner is stale only on cells no rectangle owns, so it is exact on DQ.
     The lists are live, not copies: each is valid until the next item.
+
+    weight is how many crosswords of the full stream the item stands for:
+    1, unless halve keeps one picture of each left-right mirror pair (see
+    census).  Then at the last cell of row i, while palin[i] says that every
+    row above is its own mirror, the row's (role, index) pairs are compared
+    with its mirror's, read left to right with the roles a<->b and c<->d
+    swapped (role ^ 1).  That order is the option order, so a row that reads
+    greater than its mirror has a mirror picture earlier in the stream: the
+    cell is undone as after a yield, which skips the whole subtree, and a
+    picture whose first row that is not its own mirror reads less than it is
+    kept with weight 2.  palin[i + 1] is set each time row i ends, so
+    backtracking undoes nothing; a picture with palin[rows], every row its
+    own mirror, is its own mirror and has weight 1.
     """
     if rows % 2 or cols % 2 or rows <= 0 or cols <= 0:
         return
@@ -112,6 +125,7 @@ def _enumerate_matched(rows: int, cols: int, k: int) -> Iterator[tuple]:
     # role and 0-based index per cell; position n is the bottom of every stack
     role, index, tried = [-1] * (n + 1), [0] * (n + 1), [0] * n
     grid: list = [None] * n
+    palin = [True] * (rows + 1)  # palin[i]: rows 0..i-1 are their own mirrors; set as row i-1 ends
     row, col = [-1] * n, [-1] * n
     rects, owner = [], [None] * n
     row_stack = [n]
@@ -148,10 +162,12 @@ def _enumerate_matched(rows: int, cols: int, k: int) -> Iterator[tuple]:
                 owner[top_left] = owner[ct] = owner[rt] = owner[x] = rid = len(rects)
                 (top, left), (bottom, right) = divmod(top_left, cols), divmod(x, cols)
                 rects.append((left + 1, top + 1, right + 1, bottom + 1, t + 1, rid))
-            if x + 1 < n:
-                x, o = x + 1, 0
-                continue
-            yield Picture(rows, cols, k, tuple(grid)), row, col, rects, owner
+            # at a row's last cell, halve undoes a row greater than its mirror, as after a yield
+            if row_limit > 1 or not halve or _row_kept(role, index, palin, x, cols):
+                if x + 1 < n:
+                    x, o = x + 1, 0
+                    continue
+                yield Picture(rows, cols, k, tuple(grid)), row, col, rects, owner, 2 - palin[rows]
         elif x == 0:
             return
         else:
@@ -171,6 +187,23 @@ def _enumerate_matched(rows: int, cols: int, k: int) -> Iterator[tuple]:
         o = tried[x]
 
 
+def _row_kept(role: list, index: list, palin: list, x: int, cols: int) -> bool:
+    """Whether halve keeps the row i that ends at flat position x; sets palin[i + 1].
+
+    See _enumerate_matched: the row is kept unless palin[i] and it reads
+    greater than its mirror.
+    """
+    i = x // cols
+    palin[i + 1] = False
+    if not palin[i]:
+        return True
+    half = cols // 2  # a row whose first half matches its mirror's is its own mirror
+    line = [(role[y], index[y]) for y in range(x + 1 - cols, x + 1 - half)]
+    flip = [(role[y] ^ 1, index[y]) for y in range(x, x - half, -1)]
+    palin[i + 1] = line == flip
+    return line <= flip
+
+
 def census(
     rows: int, cols: int, k: int = 1, budget: int = DEFAULT_CENSUS_BUDGET
 ) -> Census:
@@ -180,6 +213,16 @@ def census(
     _enumerate_matched hands over, with no cell scanned again.  Each is tallied
     by its depth, the classes past DC it is in; the first of each depth below
     DW witnesses that gap.
+
+    Only one picture of each left-right mirror pair is classified, and it is
+    tallied with its weight.  The mirror (each row reversed, a<->b and c<->d
+    swapped) keeps the depth: it maps row-Dyck words to row-Dyck words and
+    the column pairs (a, c) and (b, d) onto each other, so it maps crosswords
+    to crosswords, and their rectangles, circuits, redexes, precedences and
+    accretion frames to their own kind.  So the weighted tally equals the
+    full one.  A skipped picture's mirror has its depth and comes earlier in
+    the stream, so the first picture of each depth is kept and the witnesses
+    are those of the full stream.
     """
     if rows <= 0 or cols <= 0 or k < 1:
         raise InvalidArgument("census needs positive sizes and k >= 1")
@@ -188,10 +231,10 @@ def census(
     if rows * cols > budget:
         raise BudgetExceeded(f"{rows}x{cols} exceeds the {budget}-cell budget")
     tally, first = [0] * len(CLASS_NAMES), {}
-    for p, row, col, rects, owner in _enumerate_matched(rows, cols, k):
+    for p, row, col, rects, owner, weight in _enumerate_matched(rows, cols, k, halve=True):
         flags = _classify_matched(p, row, col, rects, owner)
         depth = flags.in_dq + flags.in_dn + flags.in_dw
-        tally[depth] += 1
+        tally[depth] += weight
         first.setdefault(depth, p)
     counts = {name: sum(tally[depth:]) for depth, name in enumerate(CLASS_NAMES)}
     witnesses = {_GAPS[depth]: p for depth, p in first.items() if depth < len(_GAPS)}
@@ -256,7 +299,7 @@ def hamiltonian_search(
     found = []
     for rows in range(2, max_rows + 1, 2):
         for cols in range(2, max_cols + 1, 2):
-            for p, row, col, _, _ in _enumerate_matched(rows, cols, k):
+            for p, row, col, *_ in _enumerate_matched(rows, cols, k):
                 if len(_walk(p.cells, row, col)) == 1:
                     found.append(p)
     return found

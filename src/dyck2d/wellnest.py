@@ -136,17 +136,21 @@ def _box(p: Picture, roles: str, a: int) -> tuple | None:
     roles holds the role of each cell of p.  A box's top row and left column
     are bullets between its corners, so its top-right corner is the first
     non-bullet cell right of a in its row and its bottom-left corner the
-    first one below a in its column.  The frame is read by slice comparisons:
-    the rest of the border is bullets, the corners are a1 b1 c1 d1, and the
-    box is 2x2 or both its sides are longer.
+    first one below a in its column; each is found by stepping over the
+    bullets, so no cell past it is read.  The frame is read by slice
+    comparisons: the rest of the border is bullets, the corners are a1 b1 c1
+    d1, and the box is 2x2 or both its sides are longer.
     """
-    cells, cols = p.cells, p.cols
+    cells, cols, n = p.cells, p.cols, len(roles)
     top, left = divmod(a, cols)
-    across, down = roles[a + 1 : (top + 1) * cols], roles[a + cols :: cols]
-    w, h = len(across) - len(across.lstrip(BULLET)), len(down) - len(down.lstrip(BULLET))
-    if roles[a] != "a" or w == len(across) or h == len(down) or (w == 0) != (h == 0):
+    b, c, end = a + 1, a + cols, (top + 1) * cols
+    while b < end and roles[b] == BULLET:
+        b += 1
+    while c < n and roles[c] == BULLET:
+        c += cols
+    w, h = b - a - 1, (c - a) // cols - 1
+    if roles[a] != "a" or b == end or c >= n or (w == 0) != (h == 0):
         return None
-    b, c = a + w + 1, a + (h + 1) * cols
     d = c + w + 1
     framed = (
         roles[c : d + 1] == f"c{BULLET * w}d"

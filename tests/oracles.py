@@ -238,6 +238,31 @@ def all_pictures(rows: int, cols: int) -> list[Picture]:
     return out
 
 
+def _relabelled(rows: int, cols: int, k: int, cells, swap: str) -> Picture:
+    """The rows x cols picture of cells, with a, b, c and d sent to the roles swap names."""
+    image = dict(zip("abcd", swap))
+    cells = tuple(sym(image[s.role], s.index) if s.is_corner else s for s in cells)
+    return Picture(rows, cols, k, cells)
+
+
+def mirror_lr(p: Picture) -> Picture:
+    """p with each row reversed and the roles a<->b, c<->d swapped."""
+    cells = [p.cell(i, j) for i in range(1, p.rows + 1) for j in range(p.cols, 0, -1)]
+    return _relabelled(p.rows, p.cols, p.k, cells, "badc")
+
+
+def mirror_tb(p: Picture) -> Picture:
+    """p with each column reversed and the roles a<->c, b<->d swapped."""
+    cells = [p.cell(i, j) for i in range(p.rows, 0, -1) for j in range(1, p.cols + 1)]
+    return _relabelled(p.rows, p.cols, p.k, cells, "cdab")
+
+
+def transpose(p: Picture) -> Picture:
+    """p with rows and columns exchanged and the roles b<->c swapped."""
+    cells = [p.cell(i, j) for j in range(1, p.cols + 1) for i in range(1, p.rows + 1)]
+    return _relabelled(p.cols, p.rows, p.k, cells, "acbd")
+
+
 _H_R = {"a": "c", "b": "d"}
 _H_C = {"a": "b", "c": "d"}
 

@@ -25,7 +25,7 @@ from dyck2d.lab import (
 )
 from dyck2d.neutralize import in_DN
 
-from oracles import all_pictures, oracle_in_dc
+from oracles import all_pictures, mirror_lr, oracle_in_dc
 
 
 class TestClassFlags:
@@ -130,16 +130,39 @@ class TestEnumerateDC:
 
     @pytest.mark.parametrize("rows, cols, k", [(6, 6, 1), (4, 4, 2), (2, 6, 3)])
     def test_matching_handed_over(self, rows, cols, k):
-        # the lists are live, so each item is checked before the next is asked for
-        for p, row, col, rects, owner in _enumerate_matched(rows, cols, k):
-            text = render_picture(p)
-            assert (row, col) == _crossword_matching(p), text
-            scanned, _ = _rectangles(p, row, col)
-            assert {r[:5] for r in rects} == {r[:5] for r in scanned}, text
-            assert [r[-1] for r in rects] == list(range(len(rects))), text
-            for left, top, right, bottom, _, rid in rects:
-                for i, j in ((top, left), (top, right), (bottom, left), (bottom, right)):
-                    assert owner[(i - 1) * cols + j - 1] == rid, text
+        # the lists are live, so each item is checked before the next is asked for;
+        # census reads the halved stream, and the full one gives every picture weight 1
+        for halve in (False, True):
+            for p, row, col, rects, owner, weight in _enumerate_matched(rows, cols, k, halve):
+                text = render_picture(p)
+                assert weight == 1 or halve, text
+                assert (row, col) == _crossword_matching(p), text
+                scanned, _ = _rectangles(p, row, col)
+                assert {r[:5] for r in rects} == {r[:5] for r in scanned}, text
+                assert [r[-1] for r in rects] == list(range(len(rects))), text
+                for left, top, right, bottom, _, rid in rects:
+                    for i, j in ((top, left), (top, right), (bottom, left), (bottom, right)):
+                        assert owner[(i - 1) * cols + j - 1] == rid, text
+
+    @pytest.mark.parametrize(
+        "rows, cols, k",
+        [(r, c, 1) for r in range(2, 13, 2) for c in range(2, 13, 2) if r * c <= 24]
+        + [(4, 4, 2), (2, 4, 3)],
+    )
+    def test_halve_keeps_one_picture_of_each_mirror_pair(self, rows, cols, k):
+        full = list(enumerate_dc(rows, cols, k))
+        kept = [(p, weight) for p, *_, weight in _enumerate_matched(rows, cols, k, halve=True)]
+        pictures = [p for p, _ in kept]
+        covered = pictures + [mirror_lr(p) for p, weight in kept if weight == 2]
+        assert len(covered) == len(set(covered)) == len(full)
+        assert set(covered) == set(full)
+        assert sum(weight for _, weight in kept) == len(full)
+        assert all((weight == 1) == (mirror_lr(p) == p) for p, weight in kept)
+        assert [p for p in full if p in set(pictures)] == pictures  # a subsequence of the stream
+        first = {}
+        for p in full:
+            first.setdefault(classify(p), p)
+        assert set(first.values()) <= set(pictures)
 
     def test_long_row_needs_no_recursion(self):
         p = next(enumerate_dc(2, 2400))
