@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import eq
 from typing import Sequence
@@ -223,17 +222,13 @@ def is_quaternate(p: Picture) -> bool:
     return 4 * len(_rectangles(p, *_match_or_raise(p))[0]) == len(p.cells)
 
 
-def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[str], list[list[int]]]:
-    """Per flat position its node, label text and circuit colour, and the circuits."""
+def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[list[int]]]:
+    """Per flat position its node and label text, and the circuits."""
     cells, table = g.picture.cells, _positions(g.picture)
     circs = _walk(cells, g.row_of, g.col_of)
-    color = [""] * len(cells)
-    for n, c in enumerate(circs):
-        for x in c:
-            color[x] = _PALETTE[n % len(_PALETTE)]
     ids = list(map(id, cells))  # by identity: Symbol's dataclass __hash__ runs in Python
     text = {i: s.text(g.picture.k) for i, s in dict(zip(ids, cells)).items()}
-    return table, list(map(text.__getitem__, ids)), color, circs
+    return table, list(map(text.__getitem__, ids)), circs
 
 
 def graph_to_dot(g: MatchingGraph) -> str:
@@ -242,7 +237,11 @@ def graph_to_dot(g: MatchingGraph) -> str:
     Nodes in row-major order, and edges sorted as one row-major pass over each
     partner list reads them; DegreeViolation as for circuits.
     """
-    table, labels, color, _ = _export_parts(g)
+    table, labels, circs = _export_parts(g)
+    color = [""] * len(table)
+    for n, c in enumerate(circs):
+        for x in c:
+            color[x] = _PALETTE[n % len(_PALETTE)]
     names = [f'"{i},{j}"' for i, j in table]
     lines = ["graph matching {", "  node [shape=circle];"]
     lines += [
@@ -261,18 +260,26 @@ def graph_to_dot(g: MatchingGraph) -> str:
 def graph_to_json(g: MatchingGraph) -> str:
     """JSON export: nodes in row-major order, sorted edges, circuits sorted by start.
 
-    The edges are read off the partner lists as for DOT; DegreeViolation as for circuits.
+    The text is json.dumps' of that object with its default separators, written
+    by joins over one table of positions; a label is a role and index digits,
+    so nothing needs escaping.  The edges are read off the partner lists as for
+    DOT; DegreeViolation as for circuits.
     """
-    table, labels, _, circs = _export_parts(g)
-    obj = {
-        "rows": g.picture.rows,
-        "cols": g.picture.cols,
-        "nodes": [(i, j, label) for (i, j), label in zip(table, labels)],
-        "row_edges": _edges(g.row_of, table),
-        "col_edges": _edges(g.col_of, table),
-        "circuits": [
-            {"nodes": [table[x] for x in c], "label": _CIRCUIT_ROLE_ORDER * (len(c) // 4)}
+    table, labels, circs = _export_parts(g)
+    pos = [f"[{i}, {j}]" for i, j in table]
+    nodes = ", ".join([f'[{i}, {j}, "{label}"]' for (i, j), label in zip(table, labels)])
+    row, col = (
+        ", ".join([f"[{pos[x]}, {pos[y]}]" for x, y in enumerate(partner) if x < y])
+        for partner in (g.row_of, g.col_of)
+    )
+    cycles = ", ".join(
+        [
+            f'{{"nodes": [{", ".join([pos[x] for x in c])}], '
+            f'"label": "{_CIRCUIT_ROLE_ORDER * (len(c) // 4)}"}}'
             for c in circs
-        ],
-    }
-    return json.dumps(obj)
+        ]
+    )
+    return (
+        f'{{"rows": {g.picture.rows}, "cols": {g.picture.cols}, "nodes": [{nodes}], '
+        f'"row_edges": [{row}], "col_edges": [{col}], "circuits": [{cycles}]}}'
+    )

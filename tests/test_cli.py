@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyck2d.cli import EXIT_EXPECT_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 
@@ -283,3 +285,89 @@ class TestReuse:
         assert json.loads(capsys.readouterr().out)["in_dw"]
         assert main(["classify", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+
+PICTURE_VERBS = (
+    ["classify"],
+    ["neutralize"],
+    ["neutralize", "--strategy", "exhaustive"],
+    ["graph", "--format", "dot"],
+    ["graph", "--format", "json"],
+)
+_PIECES = st.one_of(
+    st.sampled_from(["a", "b", "c", "d", "N", "*", "\u2022", "\u231c", "\u231d", "\u231e", "\u231f"]),
+    st.text("0123456789", min_size=1, max_size=3),
+    st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(4290, 4400)),
+    st.sampled_from([" ", "\t", "\n", "\r\n", "\ufeff", "\x00"]),
+    st.characters(),
+)
+_NOISE = st.lists(_PIECES, max_size=30).map("".join)
+# token grids and small crosswords with a piece spliced in, so that some texts parse
+_TOKENS = st.sampled_from(["a", "b", "c", "d", "a2", "b2", "c2", "d3", "N"])
+_GRIDS = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(_TOKENS, min_size=cols, max_size=cols), min_size=1, max_size=4)
+).map(lambda rows: "\n".join(" ".join(row) for row in rows))
+_CROSSWORDS = st.sampled_from(
+    ["ab\ncd", "aabb\nccdd", "abab\ncabd\nacdb\ncdcd", "aaabbb\ncabdab\nacdbcd\ncccddd", "a2 b2\nc2 d2"]
+)
+_SPLICED = st.builds(
+    lambda text, at, piece: text[:at] + piece + text[at:],
+    _CROSSWORDS,
+    st.integers(0, 60),
+    _PIECES,
+)
+
+
+def run_in_process(argv, text):
+    """main(argv) on stdin text: its exit code, standard output and standard error."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_NOISE, _GRIDS, _SPLICED))
+def test_fuzz_picture_verbs(text):
+    # every picture verb at k = 1-3 ends in 0 or a clean input error of one short line
+    for k in ("1", "2", "3"):
+        for verb in PICTURE_VERBS:
+            code, out, err = run_in_process([*verb, "--k", k, "-"], text)
+            assert code in (EXIT_OK, EXIT_INPUT_ERROR), (verb, k, code)
+            assert "Traceback" not in err and len(err.encode()) < 200, (verb, k, err[:300])
+            if code == EXIT_OK and verb[-1] == "json":
+                obj = out.removesuffix("\n")
+                assert json.dumps(json.loads(obj)) == obj
+
+
+def test_graph_json_memory_per_cell(tmp_path):
+    # the child's own peak RSS grows by under 500 bytes a cell over a 400x400 ab/cd grid
+    path = write(tmp_path, "\n".join(["ab" * 200, "cd" * 200] * 200) + "\n")
+    script = (
+        "import contextlib, os, resource, sys\n"
+        "from dyck2d.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = main(['graph', '--format', 'json', sys.argv[1]])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, (after - before) * 1024 / 400**2)\n"  # ru_maxrss is in KiB on Linux
+    )
+    # a process keeps the peak RSS of the one it was exec'd from, so a small
+    # launcher starts the child: a child of the test process would read the test's peak
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", script, path],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    code, per_cell = result.stdout.split()
+    assert int(code) == EXIT_OK
+    assert float(per_cell) < 500, f"{float(per_cell):.0f} bytes a cell"

@@ -334,6 +334,31 @@ class TestExports:
         }
         assert len(colors) == len(picture_circuits(p))
 
+    def test_json_is_json_dumps_text(self, fx):
+        """The writer's text is json.dumps' of an object built from the edge views and circuits."""
+        pictures = SMALL_DC + K2_DC + [fx[name] for name in sorted(fx) if name != "fig1_mid"]
+        pictures += [double_noose(h) for h in range(1, 61)]
+        for p in pictures:
+            g = matching_graph(p)
+            out = graph_to_json(g)
+            assert json.dumps(json.loads(out)) == out
+            label = (lambda s: s.role) if p.k == 1 else (lambda s: f"{s.role}{s.index}")
+            expected = {
+                "rows": p.rows,
+                "cols": p.cols,
+                "nodes": [
+                    [x // p.cols + 1, x % p.cols + 1, label(s)] for x, s in enumerate(p.cells)
+                ],
+                "row_edges": [[list(u), list(v)] for u, v in sorted(g.row_edges)],
+                "col_edges": [[list(u), list(v)] for u, v in sorted(g.col_edges)],
+                "circuits": [
+                    {"nodes": [list(v) for v in c.nodes], "label": c.label_text}
+                    for c in picture_circuits(p)
+                ],
+            }
+            # equal as objects, and as text: the keys come in the same order
+            assert json.loads(out) == expected and out == json.dumps(expected)
+
     def test_golden_digest(self, fx):
         """DOT and JSON of the fixtures, the double nooses h = 1..30 and a k = 2 picture."""
         pictures = [fx[name] for name in sorted(fx) if name != "fig1_mid"]
