@@ -6,14 +6,15 @@ from dataclasses import dataclass
 from operator import eq
 from typing import Sequence
 
-from .dyck1d import _COL_CLOSE, _ROW_CLOSE, _stack_match
 from .errors import ContainsNeutral, DegreeViolation, NotInDC
-from .grid import Picture, Symbol
+from .grid import NEUTRAL, Picture, Symbol
 
 Pos = tuple[int, int]
 Edge = tuple[Pos, Pos]
 
 _CIRCUIT_ROLE_ORDER = "abdc"
+
+_NEUTRAL = -1  # the owner of a neutral cell in _sweep
 
 _PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -82,29 +83,90 @@ def _require_corners(p: Picture) -> None:
             raise ContainsNeutral("crossword membership is defined over corner symbols")
 
 
-def _matching(p: Picture) -> tuple[list[int], list[int]]:
-    """The row and the column partner lists of p over flat positions, -1 if unmatched.
+def _sweep(p: Picture) -> tuple[list[int], list[int], list, list]:
+    """The row and column partner lists of p, its rectangles and their owners, in one pass.
 
-    A cell (i, j), 0-based, sits at i * p.cols + j.  Neutral and bullet cells
-    are never matched, so p is a crossword exactly when every cell is matched
-    in its row and in its column.
+    Cells are read in row-major order with one row stack and one stack per
+    column, holding flat positions x = i * cols + j (0-based) of open cells:
+    an a pushes both, a b pops the row stack when its top is an a of its
+    index and pushes its column, a c pushes its row and pops the column stack
+    when its top is an a of its index, and a d pops both, its row's top a c
+    and its column's a b.  A closer that cannot be cancelled clears that
+    stack, a bullet clears both, and N is skipped.  partner[x] is -1 when x
+    is unmatched, so p is a crossword exactly when no entry is -1.
+
+    A d closes a 4-cycle a -> b -> d -> c when the a above its c is the a
+    left of its b.  Each is a (left, top, right, bottom, index, id) tuple,
+    1-based, with id its place in the list, in the order of the d's; owner
+    gives, per flat position, the id of the rectangle the cell is a corner
+    of, _NEUTRAL for N, or None.
     """
-    cells, rows, cols = p.cells, p.rows, p.cols
-    row_lines = [range(i * cols, (i + 1) * cols) for i in range(rows)]
-    col_lines = [range(j, rows * cols, cols) for j in range(cols)]
-    return _stack_match(cells, row_lines, _ROW_CLOSE), _stack_match(cells, col_lines, _COL_CLOSE)
+    cells, cols = p.cells, p.cols
+    n = len(cells)
+    row, col, rects, owner = [-1] * n, [-1] * n, [], [None] * n
+    stacks, rs, j = [[] for _ in range(cols)], [], cols
+    for x, s in enumerate(cells):
+        if j == cols:  # x starts a row
+            rs, j = [], 0
+        cs = stacks[j]
+        j += 1
+        role = s.role
+        if role == "a":
+            rs.append(x)
+            cs.append(x)
+        elif role == "b":
+            if rs and (t := cells[rs[-1]]).role == "a" and t.index == s.index:
+                row[x] = y = rs.pop()
+                row[y] = x
+            else:
+                rs.clear()
+            cs.append(x)
+        elif role == "c":
+            rs.append(x)
+            if cs and (t := cells[cs[-1]]).role == "a" and t.index == s.index:
+                col[x] = y = cs.pop()
+                col[y] = x
+            else:
+                cs.clear()
+        elif role == "d":
+            i, c = s.index, -1
+            if rs and (t := cells[rs[-1]]).role == "c" and t.index == i:
+                row[x] = c = rs.pop()
+                row[c] = x
+            else:
+                rs.clear()
+            if cs and (t := cells[cs[-1]]).role == "b" and t.index == i:
+                col[x] = b = cs.pop()
+                col[b] = x
+                # off crosswords c, col[c] and row[b] can each be -1
+                if c >= 0 and (a := col[c]) >= 0 and a == row[b]:
+                    owner[a] = owner[b] = owner[c] = owner[x] = rid = len(rects)
+                    (top, left), (bottom, right) = divmod(a, cols), divmod(x, cols)
+                    rects.append((left + 1, top + 1, right + 1, bottom + 1, i, rid))
+            else:
+                cs.clear()
+        elif role == NEUTRAL:
+            owner[x] = _NEUTRAL
+        else:
+            rs.clear()
+            cs.clear()
+    return row, col, rects, owner
 
 
-def _crossword_matching(p: Picture) -> tuple[list[int], list[int]] | None:
-    """The matching of a crossword; None for the empty picture and for a non-crossword.
+def _crossword_matching(p: Picture) -> tuple[list[int], list[int], list, list] | None:
+    """The _sweep of a crossword; None for the empty picture and for a non-crossword.
 
-    Raises ContainsNeutral on a non-empty picture with a neutral or bullet cell.
+    Raises ContainsNeutral on a non-empty picture with a neutral or bullet
+    cell.  Those cells are never matched, so only a picture with an
+    unmatched cell is checked for them.
     """
     if p.is_empty:
         return None
-    _require_corners(p)
-    row, col = _matching(p)
-    return None if -1 in row or -1 in col else (row, col)
+    sweep = _sweep(p)
+    if -1 in sweep[0] or -1 in sweep[1]:
+        _require_corners(p)
+        return None
+    return sweep
 
 
 def in_DC(p: Picture) -> bool:
@@ -122,7 +184,7 @@ def _edges(partner: Sequence[int], table: list[Pos]) -> list[Edge]:
     return [(table[x], table[y]) for x, y in enumerate(partner) if x < y]
 
 
-def _match_or_raise(p: Picture) -> tuple[list[int], list[int]]:
+def _match_or_raise(p: Picture) -> tuple[list[int], list[int], list, list]:
     match = _crossword_matching(p)
     if match is None:
         raise NotInDC("matching graph needs a crossword picture")
@@ -131,27 +193,8 @@ def _match_or_raise(p: Picture) -> tuple[list[int], list[int]]:
 
 def matching_graph(p: Picture) -> MatchingGraph:
     """The row and column partner lists of a crossword; NotInDC off crosswords."""
-    row, col = _match_or_raise(p)
+    row, col, _, _ = _match_or_raise(p)
     return MatchingGraph(tuple(row), tuple(col), p)
-
-
-def _rectangles(p: Picture, row: list[int], col: list[int]) -> tuple[list, list]:
-    """The 4-cycles a -> b -> d -> c of the row and column partner lists.
-
-    Each is a (left, top, right, bottom, index, id) tuple, 1-based, with id its
-    place in the list; the owner list gives, per flat position, the id of the
-    rectangle the cell is a corner of, or None.
-    """
-    cells, cols = p.cells, p.cols
-    rects, owner = [], [None] * len(cells)
-    for a, b in enumerate(row):
-        # a partner is read only once it lies ahead: a -1 would index the last cell.  An
-        # opener of its row is an a or a c, of its column an a or a b, so a is an a.
-        if b > a and (c := col[a]) > a and row[c] == (d := col[b]) > b:
-            owner[a] = owner[b] = owner[c] = owner[d] = rid = len(rects)
-            (top, left), (bottom, right) = divmod(a, cols), divmod(d, cols)
-            rects.append((left + 1, top + 1, right + 1, bottom + 1, cells[a].index, rid))
-    return rects, owner
 
 
 def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[list[int]]:
@@ -219,7 +262,7 @@ def is_quaternate(p: Picture) -> bool:
     Every circuit has length 4 exactly when the rectangles of the matching
     cover the cells.
     """
-    return 4 * len(_rectangles(p, *_match_or_raise(p))[0]) == len(p.cells)
+    return 4 * len(_match_or_raise(p)[2]) == len(p.cells)
 
 
 def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[list[int]]]:

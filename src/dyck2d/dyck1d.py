@@ -2,9 +2,10 @@
 
 The same four-letter alphabet carries two matching disciplines: rows pair
 (a_i, b_i) and (c_i, d_i); columns pair (a_i, c_i) and (b_i, d_i).  One stack
-pass, _stack_match, gives the partner list of these words and of the rows and
-columns of pictures (partner[x] is x's partner, -1 if unmatched), the one form
-a matching takes; each word reader is one linear pass over it.
+pass, _stack_match, gives the partner list of a word (partner[x] is x's
+partner, -1 if unmatched), the one form a matching takes; each word reader is
+one linear pass over it.  The rows and columns of a picture are matched by
+crossword._sweep, with the same rules.
 """
 
 from __future__ import annotations
@@ -58,26 +59,24 @@ def word_text(w: Sequence[Symbol], k: int = 1) -> str:
     return sep.join(s.text(k) for s in w)
 
 
-def _stack_match(cells: tuple, lines, close: dict[str, str]) -> list[int]:
-    """The partner of each flat position by one stack per line, -1 if unmatched.
+def _stack_match(w: Sequence[Symbol], end: int, close: dict[str, str]) -> list[int]:
+    """The partner of each position of w by one stack pass over w[:end], -1 if unmatched.
 
-    Neutral cells are skipped; an unmatched closer or a bullet can never be
+    Neutral symbols are skipped; an unmatched closer or a bullet can never be
     cancelled, so it clears the stack.
     """
-    partner = [-1] * len(cells)
-    for line in lines:
-        stack = []
-        for x in line:
-            s = cells[x]
-            if s.role in close:
-                stack.append(x)
-            elif s.role != NEUTRAL:
-                top = cells[stack[-1]] if stack else None
-                if top and close[top.role] == s.role and top.index == s.index:
-                    y = partner[x] = stack.pop()
-                    partner[y] = x
-                else:
-                    stack.clear()
+    partner, stack = [-1] * len(w), []
+    for x in range(end):
+        s = w[x]
+        if s.role in close:
+            stack.append(x)
+        elif s.role != NEUTRAL:
+            top = w[stack[-1]] if stack else None
+            if top and close[top.role] == s.role and top.index == s.index:
+                y = partner[x] = stack.pop()
+                partner[y] = x
+            else:
+                stack.clear()
     return partner
 
 
@@ -89,7 +88,7 @@ def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[list[int]]:
     close = pr._close_map
     roles = [s.role for s in w]
     end = roles.index(NEUTRAL) if NEUTRAL in roles else len(roles)
-    partner = _stack_match(w, [range(end)], close)
+    partner = _stack_match(w, end, close)
     pairs = (len(w) - partner.count(-1)) // 2
     closers = end - sum(map(close.__contains__, roles[:end]))  # bullets included
     if closers > pairs:
@@ -120,7 +119,7 @@ def neutralize_word(w: Sequence[Symbol], pr: Pairing) -> bool:
     pair's interior keeps its length, so w neutralizes iff every letter but N
     is matched and every pair has an even interior.
     """
-    partner = _stack_match(w, [range(len(w))], pr._close_map)
+    partner = _stack_match(w, len(w), pr._close_map)
     neutrals = sum(s.is_neutral for s in w)
     pairs = ((x, y) for x, y in enumerate(partner) if x < y)
     return partner.count(-1) == neutrals and all((y - x) % 2 for x, y in pairs)

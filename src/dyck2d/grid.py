@@ -186,12 +186,26 @@ def parse_picture(text: str, k: int = 1) -> Picture:
     At k=1 each token is looked up in one table of those characters; any
     other token goes through _parse_token, which raises UnknownToken or
     IndexOutOfRange on a bad one.  InvalidArgument when k < 1.
+
+    At k=1, when every line is one token (each line break is whitespace to
+    str.split, so text.split() then has a word per line), the joined words
+    are looked up in one map; an unknown character sends the text down the
+    token path, so errors and their precedence over RaggedRows are its own.
     """
     if k < 1:
         raise InvalidArgument(f"a picture needs k >= 1, not {k}")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return empty_picture(k)
+    if k == 1 and len(words := text.split()) == len(lines):
+        try:
+            cells = tuple(map(_SYMBOL_OF_CHAR.__getitem__, "".join(words)))
+        except KeyError:
+            pass
+        else:
+            if len(set(map(len, words))) != 1:
+                raise RaggedRows("lines of unequal length")
+            return Picture(len(words), len(words[0]), 1, cells)
     rows = []
     for ln in lines:
         toks = ln.split()

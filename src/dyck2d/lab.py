@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .crossword import _crossword_matching, _rectangles, _walk
+from .crossword import _crossword_matching, _walk
 from .dyck1d import ROW, Word, is_dyck, word_text
 from .errors import BudgetExceeded, HierarchyViolation, InvalidArgument, NotDyck
 from .grid import Picture, parse_picture, picture_from_rows, sym
@@ -45,19 +45,20 @@ class Census:
 def classify(p: Picture) -> ClassFlags:
     """The four memberships in hierarchy order, each only inside the wider class.
 
-    One row and column matching (crossword._crossword_matching) decides DC:
-    every cell is matched.  _classify_matched reads the other three off it.
+    One sweep of the cells (crossword._crossword_matching) matches every row
+    and column and reads off the rectangles; DC is every cell matched, and
+    _classify_matched reads the other three off that sweep.
     """
     match = _crossword_matching(p)
     if match is None:
         return ClassFlags(in_dc=False, in_dq=False, in_dn=False, in_dw=False)
-    return _classify_matched(p, *match, *_rectangles(p, *match))
+    return _classify_matched(p, *match)
 
 
 def _classify_matched(p: Picture, row: list, col: list, rects: list, owner: list) -> ClassFlags:
     """The memberships of the crossword p, given its matching and its rectangles.
 
-    rects and owner are as crossword._rectangles gives them, but owner need
+    rects and owner are as crossword._sweep gives them, but owner need
     only be exact when the rectangles cover the cells, which is DQ.  DN:
     Kahn's order over the rectangles completes, which on DQ is acyclicity of
     the precedence relation (the paper's theorem).  DW: the picture is tiled
@@ -98,10 +99,10 @@ def _enumerate_matched(rows: int, cols: int, k: int, halve: bool = False) -> Ite
     cells left in its line.  Each pop records its pair both ways in the
     partner lists row and col, and an undone closer reads its opener back.
     A d closes a rectangle when the a above its c is the a left of its b; it
-    is pushed on rects as crossword._rectangles gives it, owner marks its
-    corners, and undoing the d pops it.  At a yield row and col equal
-    crossword._crossword_matching(picture) and rects holds the rectangles;
-    owner is stale only on cells no rectangle owns, so it is exact on DQ.
+    is pushed on rects as crossword._sweep gives it, owner marks its
+    corners, and undoing the d pops it.  At a yield row, col and rects equal
+    those of crossword._sweep(picture); owner is stale only on cells no
+    rectangle owns, so it is exact on DQ.
     The lists are live, not copies: each is valid until the next item.
 
     weight is how many crosswords of the full stream the item stands for:

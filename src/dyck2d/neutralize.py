@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import graphlib
 import heapq
-import json
 from dataclasses import dataclass
 
-from .crossword import Circuit, _matching, _rectangles, picture_circuits
+from .crossword import _NEUTRAL, Circuit, _sweep, picture_circuits
 from .errors import NotQuaternate, StaleRedex
-from .grid import NEUTRAL, Domain, N, Picture
+from .grid import Domain, N, Picture
 
 Pos = tuple[int, int]
-
-_NEUTRAL = -1  # the owner of a neutral cell in _owners
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,12 +27,21 @@ class Decision:
     trace: tuple[Redex, ...]
 
     def trace_json(self) -> str:
-        return json.dumps(
+        """The trace as a JSON list of {"domain", "index", "step_number"} objects.
+
+        The domain is [top, left, bottom, right] and steps count from 1.  The
+        text is json.dumps' with its default separators, written by joins:
+        every value is an int, so nothing needs escaping.
+        """
+        steps = ", ".join(
             [
-                {"domain": list(r.domain.as_tuple()), "index": r.index, "step_number": n}
+                f'{{"domain": [{d.top}, {d.left}, {d.bottom}, {d.right}], '
+                f'"index": {r.index}, "step_number": {n}}}'
                 for n, r in enumerate(self.trace, start=1)
+                for d in (r.domain,)
             ]
         )
+        return f"[{steps}]"
 
 
 def find_redexes(p: Picture) -> list[Redex]:
@@ -48,34 +54,40 @@ def find_redexes(p: Picture) -> list[Redex]:
     order matches the sequence of the worked 4x6 reduction: its first step is
     the inner rectangle at (2,2), not the one at (1,4).
     """
-    rects, owner, _ = _owners(p)
+    rects, owner = _sweep(p)[2:]  # the partner lists are freed here
     ready = [r for r, deps in zip(rects, _deps(p, rects, owner)) if not deps]
     return [_redex(r) for r in sorted(ready)]
 
 
 def apply_step(p: Picture, r: Redex) -> Picture:
-    """Overwrite the redex rectangle with neutral cells."""
-    if r not in find_redexes(p):
+    """Overwrite the redex rectangle with neutral cells.
+
+    StaleRedex unless r is a redex of p, read off its box alone: the domain
+    lies inside p, its corners are a b c d with r's index, and every other
+    cell of the box is N.  Such a box is a 4-cycle of the matching with no
+    other cell in it, so these are exactly the redexes find_redexes lists.
+    """
+    top, left, bottom, right = r.domain.as_tuple()
+    cols, width = p.cols, right - left + 1
+    starts = range((top - 1) * cols + left - 1, bottom * cols, cols)  # of the box's rows
+    inside = bottom <= p.rows and right <= cols
+    box = [p.cells[x : x + width] for x in starts] if inside else []
+    corners = (box[0][0], box[0][-1], box[-1][0], box[-1][-1]) if box else ()
+    if (
+        "".join([s.role for s in corners]) != "abcd"
+        or any(s.index != r.index for s in corners)
+        or sum([line.count(N) for line in box]) != len(box) * width - 4
+    ):
         raise StaleRedex(f"{r.domain.as_tuple()} no longer matches")
     cells = list(p.cells)
-    for i in range(r.domain.top, r.domain.bottom + 1):
-        for j in range(r.domain.left, r.domain.right + 1):
-            cells[(i - 1) * p.cols + (j - 1)] = N
+    for x in starts:
+        cells[x : x + width] = [N] * width
     return Picture(p.rows, p.cols, p.k, tuple(cells))
 
 
 def _redex(rect: tuple) -> Redex:
     left, top, right, bottom, index, _ = rect
     return Redex(Domain(top, left, bottom, right), index)
-
-
-def _owners(p: Picture) -> tuple[list, list, int]:
-    """_rectangles of p with each neutral cell owned by _NEUTRAL, and the neutral count."""
-    rects, owner = _rectangles(p, *_matching(p))
-    neutral = [x for x, s in enumerate(p.cells) if s.role == NEUTRAL]
-    for x in neutral:
-        owner[x] = _NEUTRAL
-    return rects, owner, len(neutral)
 
 
 def _deps(p: Picture, rects: list, owner: list) -> list[set]:
@@ -128,9 +140,9 @@ def _kahn(p: Picture, rects: list, owner: list) -> list:
 
 def _greedy(p: Picture) -> Decision:
     """Kahn's order over the rectangles of the row and column matchings."""
-    rects, owner, neutral = _owners(p)
+    rects, owner = _sweep(p)[2:]  # the partner lists are freed here
     trace = tuple(map(_redex, _kahn(p, rects, owner)))
-    return Decision(4 * len(trace) + neutral == len(p.cells), trace)
+    return Decision(4 * len(trace) + owner.count(_NEUTRAL) == len(p.cells), trace)
 
 
 def in_DN(p: Picture, strategy: str = "greedy") -> Decision:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .crossword import _matching
+from .crossword import _sweep
 from .dyck1d import COL, ROW, Pairing, Word, is_dyck
 from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from .grid import BULLET, BULLET_SYM, NEUTRAL, Picture, picture_from_rows, sym
@@ -116,7 +116,7 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
     _well_nested.  Neutral and bullet cells are never matched, so a picture
     with one is not in DW; the empty picture's scan claims nothing.
     """
-    row, col = _matching(p)
+    row, col, _, _ = _sweep(p)
     return -1 not in row and -1 not in col and _well_nested(p, row, col, mixed_border_indices)
 
 

@@ -344,15 +344,15 @@ def test_fuzz_picture_verbs(text):
                 assert json.dumps(json.loads(obj)) == obj
 
 
-def test_graph_json_memory_per_cell(tmp_path):
-    # the child's own peak RSS grows by under 500 bytes a cell over a 400x400 ab/cd grid
+def peak_bytes_per_cell(tmp_path, verb):
+    """A child's own peak RSS growth per cell over main([*verb, grid]), a 400x400 ab/cd grid."""
     path = write(tmp_path, "\n".join(["ab" * 200, "cd" * 200] * 200) + "\n")
     script = (
         "import contextlib, os, resource, sys\n"
         "from dyck2d.cli import main\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
-        "    code = main(['graph', '--format', 'json', sys.argv[1]])\n"
+        "    code = main(sys.argv[1:])\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "print(code, (after - before) * 1024 / 400**2)\n"  # ru_maxrss is in KiB on Linux
     )
@@ -361,7 +361,7 @@ def test_graph_json_memory_per_cell(tmp_path):
     launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-c", script, path],
+        [sys.executable, "-c", launcher, sys.executable, "-c", script, *verb, path],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -370,4 +370,17 @@ def test_graph_json_memory_per_cell(tmp_path):
     )
     code, per_cell = result.stdout.split()
     assert int(code) == EXIT_OK
-    assert float(per_cell) < 500, f"{float(per_cell):.0f} bytes a cell"
+    return float(per_cell)
+
+
+def test_graph_json_memory_per_cell(tmp_path):
+    # the child's own peak RSS grows by under 500 bytes a cell over a 400x400 ab/cd grid
+    per_cell = peak_bytes_per_cell(tmp_path, ["graph", "--format", "json"])
+    assert per_cell < 500, f"{per_cell:.0f} bytes a cell"
+
+
+@pytest.mark.parametrize("verb", ["classify", "neutralize"])
+def test_decider_memory_per_cell(tmp_path, verb):
+    # the deciders hold the picture, one sweep's lists and Kahn's sets: under 250 bytes a cell
+    per_cell = peak_bytes_per_cell(tmp_path, [verb])
+    assert per_cell < 250, f"{per_cell:.0f} bytes a cell"

@@ -7,7 +7,7 @@ import pytest
 
 from dyck2d.crossword import (
     MatchingGraph,
-    _matching,
+    _sweep,
     circuits,
     graph_to_dot,
     graph_to_json,
@@ -60,11 +60,11 @@ MATCH_POOL = SMALL_DC + K2_DC + one_cell_mutants(SMALL_DC + K2_DC, 600, seed=13)
 
 
 class TestPartnerLists:
-    """_matching's format: partner[x] is x's partner in its row (column), or -1."""
+    """_sweep's partner lists: partner[x] is x's partner in its row (column), or -1."""
 
     def test_involutions(self):
         for p in MATCH_POOL:
-            for partner in _matching(p):
+            for partner in _sweep(p)[:2]:
                 assert len(partner) == len(p.cells)
                 assert all(y == -1 or partner[y] == x for x, y in enumerate(partner))
 
@@ -83,7 +83,7 @@ class TestPartnerLists:
                 for j in range(cols)
                 for x, y in oracle_cancelled_pairs(p.cells[j::cols], "Col")
             }
-            for partner, pairs in zip(_matching(p), (row_pairs, col_pairs)):
+            for partner, pairs in zip(_sweep(p), (row_pairs, col_pairs)):
                 assert {(x, y) for x, y in enumerate(partner) if x < y} == pairs
                 matched = {x for pair in pairs for x in pair}
                 unmatched = set(range(rows * cols)) - matched
@@ -91,7 +91,7 @@ class TestPartnerLists:
 
     def test_partners_share_a_line_and_the_opener_comes_first(self):
         for p in MATCH_POOL:
-            row, col = _matching(p)
+            row, col, _, _ = _sweep(p)
             for partner, line, openers, closers in (
                 (row, lambda x: x // p.cols, "ac", "bd"),
                 (col, lambda x: x % p.cols, "ab", "cd"),
@@ -101,6 +101,37 @@ class TestPartnerLists:
                         assert line(x) == line(y)
                         assert p.cells[x].role in openers and p.cells[y].role in closers
                         assert p.cells[x].index == p.cells[y].index
+
+
+class TestSweepRectangles:
+    """_sweep's rectangles and owners are the 4-cycles of the cancellation matching."""
+
+    def test_off_crosswords_too(self):
+        # MATCH_POOL holds N, bullets and one-cell mutants, where partners can be -1
+        assert any(not in_DC(p) for p in MATCH_POOL)
+        for p in MATCH_POOL:
+            cols, row, col = p.cols, {}, {}
+            for i in range(p.rows):
+                for x, y in oracle_cancelled_pairs(p.row_word(i + 1), "Row"):
+                    row[i * cols + x], row[i * cols + y] = i * cols + y, i * cols + x
+            for j in range(cols):
+                for x, y in oracle_cancelled_pairs(p.cells[j::cols], "Col"):
+                    col[x * cols + j], col[y * cols + j] = y * cols + j, x * cols + j
+            # a cycle's first cell a opens its row and its column: a -> b -> d -> c -> a
+            cycles = []
+            for a, b in row.items():
+                c, d = col.get(a, -1), col.get(b)
+                if a < b and c > a and d is not None and row.get(c) == d:
+                    cycles.append((a, b, c, d))
+            cycles.sort(key=lambda cycle: cycle[3])  # in the order of the d's
+            owner = [-1 if s == N else None for s in p.cells]
+            rects = []
+            for rid, (a, b, c, d) in enumerate(cycles):
+                owner[a] = owner[b] = owner[c] = owner[d] = rid
+                top, left = divmod(a, cols)
+                bottom, right = divmod(d, cols)
+                rects.append((left + 1, top + 1, right + 1, bottom + 1, p.cells[a].index, rid))
+            assert _sweep(p)[2:] == (rects, owner), p
 
 
 class TestInDC:

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dyck2d import lab
-from dyck2d.crossword import _crossword_matching, _rectangles, in_DC, picture_circuits
+from dyck2d import crossword, lab
+from dyck2d.crossword import _crossword_matching, in_DC, picture_circuits
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word, word_text
 from dyck2d.errors import BudgetExceeded, ContainsNeutral, Dyck2dError, InvalidArgument, NotDyck
 from dyck2d.grid import Picture, hcat, parse_picture, render_picture, sym, vcat
@@ -136,13 +136,15 @@ class TestEnumerateDC:
             for p, row, col, rects, owner, weight in _enumerate_matched(rows, cols, k, halve):
                 text = render_picture(p)
                 assert weight == 1 or halve, text
-                assert (row, col) == _crossword_matching(p), text
-                scanned, _ = _rectangles(p, row, col)
-                assert {r[:5] for r in rects} == {r[:5] for r in scanned}, text
+                # both close a rectangle at its d, so the lists and ids agree outright
+                sweep = _crossword_matching(p)
+                assert sweep is not None and (row, col, rects) == sweep[:3], text
                 assert [r[-1] for r in rects] == list(range(len(rects))), text
                 for left, top, right, bottom, _, rid in rects:
                     for i, j in ((top, left), (top, right), (bottom, left), (bottom, right)):
                         assert owner[(i - 1) * cols + j - 1] == rid, text
+                if 4 * len(rects) == rows * cols:  # owner is exact on DQ
+                    assert owner == sweep[3], text
 
     @pytest.mark.parametrize(
         "rows, cols, k",
@@ -221,7 +223,7 @@ class TestCensus:
         def scan(*args):
             raise Scanned
 
-        monkeypatch.setattr(lab, "_rectangles", scan)
+        monkeypatch.setattr(crossword, "_sweep", scan)
         result = census(4, 4)
         assert result.counts == {"dc": 13, "dq": 12, "dn": 12, "dw": 2}
         assert {name: render_picture(p) for name, p in result.witnesses.items()} == {

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from itertools import combinations_with_replacement
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dyck2d import neutralize
 from dyck2d.errors import NotInDC, NotQuaternate, StaleRedex
 from dyck2d.grid import (
     BULLET_SYM,
@@ -30,7 +32,7 @@ from dyck2d.neutralize import (
     priority_graph,
 )
 
-from oracles import _redexes, oracle_greedy_trace, oracle_in_dn
+from oracles import _redexes, _rewrite, oracle_greedy_trace, oracle_in_dn
 
 SMALL_DC = [
     p
@@ -119,6 +121,37 @@ class TestApplyStep:
         for pic, stale in ((q, r), (p, Redex(r.domain, 2)), (p, Redex(Domain(1, 1, 2, 3), 1))):
             with pytest.raises(StaleRedex):
                 apply_step(pic, stale)
+
+    def test_stale_exactly_off_the_rescan_oracle(self, fx):
+        # every box of every fourth small picture, and one row and one column past its edge
+        for p in [p for p in rescan_pool(fx) if len(p.cells) <= 16][::4]:
+            applied = {}
+            for top, bottom in combinations_with_replacement(range(1, p.rows + 2), 2):
+                for left, right in combinations_with_replacement(range(1, p.cols + 2), 2):
+                    for index in range(1, p.k + 2):
+                        box = (top, left, bottom, right)
+                        try:
+                            applied[box, index] = apply_step(p, Redex(Domain(*box), index))
+                        except StaleRedex:
+                            pass
+            fresh = {(box, p.cell(*box[:2]).index) for box in _redexes(p)}
+            assert applied.keys() == fresh, render_picture(p)
+            assert all(q == _rewrite(p, box) for (box, _), q in applied.items())
+
+    def test_replay_reads_only_the_box(self, fx, monkeypatch):
+        # each step is checked on its own box, so replaying a trace is linear in its boxes
+        trace = in_DN(fx["example1"]).trace
+
+        def rescan(p):
+            raise AssertionError("apply_step rescanned the picture")
+
+        monkeypatch.setattr(neutralize, "find_redexes", rescan)
+        p = fx["example1"]
+        for r in trace:
+            p = apply_step(p, r)
+        assert set(p.cells) == {N}
+        with pytest.raises(StaleRedex):
+            apply_step(p, trace[-1])
 
 
 class TestInDN:

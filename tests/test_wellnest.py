@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyck2d.crossword import _matching, in_DC
+from dyck2d.crossword import _sweep, in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
 from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from dyck2d import crossword, wellnest
@@ -339,11 +339,11 @@ class TestFrame:
 
     def test_fixtures(self, fx):
         p = fx["fig1_left"]
-        assert wellnest._is_frame(p, *_matching(p), 0, True)
+        assert wellnest._is_frame(p, *_sweep(p)[:2], 0, True)
         # fig2's border symbols read as a frame, but its core ba/dc is not balanced,
         # so the top and left borders are not paired across the box
         p = fx["fig2"]
-        assert not wellnest._is_frame(p, *_matching(p), 0, True)
+        assert not wellnest._is_frame(p, *_sweep(p)[:2], 0, True)
         assert not in_DW(p)
 
     def test_frames_read_as_accretions(self):
@@ -353,7 +353,7 @@ class TestFrame:
         below, across = {"a": "c", "b": "d"}, {"a": "b", "c": "d"}
         accepted = 0
         for p in pool:
-            row, col = _matching(p)
+            row, col, _, _ = _sweep(p)
             for a, s in enumerate(p.cells):
                 if s.role != "a" or not wellnest._is_frame(p, row, col, a, True):
                     continue
