@@ -265,59 +265,67 @@ def is_quaternate(p: Picture) -> bool:
     return 4 * len(_match_or_raise(p)[2]) == len(p.cells)
 
 
-def _export_parts(g: MatchingGraph) -> tuple[list[Pos], list[str], list[list[int]]]:
-    """Per flat position its node and label text, and the circuits."""
-    cells, table = g.picture.cells, _positions(g.picture)
-    circs = _walk(cells, g.row_of, g.col_of)
-    ids = list(map(id, cells))  # by identity: Symbol's dataclass __hash__ runs in Python
-    text = {i: s.text(g.picture.k) for i, s in dict(zip(ids, cells)).items()}
-    return table, list(map(text.__getitem__, ids)), circs
+def _export_parts(g: MatchingGraph, sep: str) -> tuple[list[str], list[str], list[list[int]]]:
+    """Per flat position the text i + sep + j of its (i, j) and its label text, and the circuits.
+
+    Each row number and each column number is formatted once per picture; a
+    position's text is only the concatenation of its row's and its column's.
+    """
+    p = g.picture
+    cells, cols = p.cells, [str(j) for j in range(1, p.cols + 1)]
+    pos = [row + j for row in [f"{i}{sep}" for i in range(1, p.rows + 1)] for j in cols]
+    if p.k == 1:  # a symbol's text at k = 1 is its role
+        labels = [s.role for s in cells]
+    else:
+        ids = list(map(id, cells))  # by identity: Symbol's dataclass __hash__ runs in Python
+        text = {i: s.text(p.k) for i, s in dict(zip(ids, cells)).items()}
+        labels = list(map(text.__getitem__, ids))
+    return pos, labels, _walk(cells, g.row_of, g.col_of)
 
 
 def graph_to_dot(g: MatchingGraph) -> str:
     """DOT export: row edges solid, column edges dashed, one color per circuit.
 
     Nodes in row-major order, and edges sorted as one row-major pass over each
-    partner list reads them; DegreeViolation as for circuits.
+    partner list reads them; DegreeViolation as for circuits.  The node lines
+    and the edge lines are joined apart, so no list of every line is held.
     """
-    table, labels, circs = _export_parts(g)
-    color = [""] * len(table)
+    pos, labels, circs = _export_parts(g, ",")
+    color = [""] * len(pos)
     for n, c in enumerate(circs):
         for x in c:
             color[x] = _PALETTE[n % len(_PALETTE)]
-    names = [f'"{i},{j}"' for i, j in table]
-    lines = ["graph matching {", "  node [shape=circle];"]
-    lines += [
-        f'  {name} [label="{label}", color="{c}"];' for name, label, c in zip(names, labels, color)
-    ]
-    for partner, style in ((g.row_of, "solid"), (g.col_of, "dashed")):
-        lines += [
-            f'  {names[x]} -- {names[y]} [style={style}, color="{color[x]}"];'
+    nodes = "".join(
+        [f'  "{ij}" [label="{label}", color="{c}"];\n' for ij, label, c in zip(pos, labels, color)]
+    )
+    edges = "".join(
+        [
+            f'  "{pos[x]}" -- "{pos[y]}" [style={style}, color="{color[x]}"];\n'
+            for partner, style in ((g.row_of, "solid"), (g.col_of, "dashed"))
             for x, y in enumerate(partner)
             if x < y
         ]
-    lines.append("}")
-    return "\n".join(lines)
+    )
+    return f"graph matching {{\n  node [shape=circle];\n{nodes}{edges}}}"
 
 
 def graph_to_json(g: MatchingGraph) -> str:
     """JSON export: nodes in row-major order, sorted edges, circuits sorted by start.
 
     The text is json.dumps' of that object with its default separators, written
-    by joins over one table of positions; a label is a role and index digits,
-    so nothing needs escaping.  The edges are read off the partner lists as for
-    DOT; DegreeViolation as for circuits.
+    by joins over one table of position texts "i, j"; a label is a role and
+    index digits, so nothing needs escaping.  The edges are read off the
+    partner lists as for DOT; DegreeViolation as for circuits.
     """
-    table, labels, circs = _export_parts(g)
-    pos = [f"[{i}, {j}]" for i, j in table]
-    nodes = ", ".join([f'[{i}, {j}, "{label}"]' for (i, j), label in zip(table, labels)])
+    pos, labels, circs = _export_parts(g, ", ")
+    nodes = ", ".join([f'[{ij}, "{label}"]' for ij, label in zip(pos, labels)])
     row, col = (
-        ", ".join([f"[{pos[x]}, {pos[y]}]" for x, y in enumerate(partner) if x < y])
+        ", ".join([f"[[{pos[x]}], [{pos[y]}]]" for x, y in enumerate(partner) if x < y])
         for partner in (g.row_of, g.col_of)
     )
     cycles = ", ".join(
         [
-            f'{{"nodes": [{", ".join([pos[x] for x in c])}], '
+            f'{{"nodes": [[{"], [".join(map(pos.__getitem__, c))}]], '
             f'"label": "{_CIRCUIT_ROLE_ORDER * (len(c) // 4)}"}}'
             for c in circs
         ]

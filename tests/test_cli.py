@@ -373,10 +373,12 @@ def peak_bytes_per_cell(tmp_path, verb):
     return float(per_cell)
 
 
-def test_graph_json_memory_per_cell(tmp_path):
-    # the child's own peak RSS grows by under 500 bytes a cell over a 400x400 ab/cd grid
-    per_cell = peak_bytes_per_cell(tmp_path, ["graph", "--format", "json"])
-    assert per_cell < 500, f"{per_cell:.0f} bytes a cell"
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_memory_per_cell(tmp_path, fmt):
+    # the writers hold the position texts, the circuits and their sections of text:
+    # measured 327 (json) and 419 (dot) bytes a cell over a 400x400 ab/cd grid
+    per_cell = peak_bytes_per_cell(tmp_path, ["graph", "--format", fmt])
+    assert per_cell < {"json": 375, "dot": 480}[fmt], f"{per_cell:.0f} bytes a cell"
 
 
 @pytest.mark.parametrize("verb", ["classify", "neutralize"])

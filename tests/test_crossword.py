@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from dyck2d.crossword import (
+    _PALETTE,
     MatchingGraph,
     _sweep,
     circuits,
@@ -17,7 +18,15 @@ from dyck2d.crossword import (
     picture_circuits,
 )
 from dyck2d.errors import ContainsNeutral, DegreeViolation, NotInDC
-from dyck2d.grid import BULLET_SYM, N, Picture, empty_picture, parse_picture, sym
+from dyck2d.grid import (
+    BULLET_SYM,
+    N,
+    Picture,
+    empty_picture,
+    parse_picture,
+    render_picture,
+    sym,
+)
 from dyck2d.lab import double_noose, enumerate_dc
 
 from oracles import (
@@ -339,6 +348,23 @@ class TestQuaternate:
             is_quaternate(parse_picture("ab\nab"))
 
 
+def export_pool(fx):
+    """The export tests' pictures: small crosswords at k = 1 and 2, the fixtures, the
+    double nooses h = 1..60, and pictures with column numbers and labels of two digits."""
+    pictures = SMALL_DC + K2_DC + [fx[name] for name in sorted(fx) if name != "fig1_mid"]
+    pictures += [double_noose(h) for h in range(1, 61)]
+    pictures.append(parse_picture("\n".join(["ab" * 6, "cd" * 6] * 5)))
+    fig3_right = render_picture(fx["fig3_right"]).splitlines()
+    pictures.append(parse_picture("\n".join([line * 2 for line in fig3_right] * 2)))
+    # a1 .. a10 b10 .. b1 over c1 .. c10 d10 .. d1, twice: labels a10, b10, c10, d10
+    rows = [
+        " ".join([f"{r}{i}" for i in range(1, 11)] + [f"{s}{i}" for i in range(10, 0, -1)])
+        for r, s in ("ab", "cd")
+    ]
+    pictures.append(parse_picture("\n".join(rows * 2), 10))
+    return pictures
+
+
 class TestExports:
     def test_json_schema(self, fx):
         g = matching_graph(fx["fig3_left"])
@@ -367,9 +393,7 @@ class TestExports:
 
     def test_json_is_json_dumps_text(self, fx):
         """The writer's text is json.dumps' of an object built from the edge views and circuits."""
-        pictures = SMALL_DC + K2_DC + [fx[name] for name in sorted(fx) if name != "fig1_mid"]
-        pictures += [double_noose(h) for h in range(1, 61)]
-        for p in pictures:
+        for p in export_pool(fx):
             g = matching_graph(p)
             out = graph_to_json(g)
             assert json.dumps(json.loads(out)) == out
@@ -389,6 +413,28 @@ class TestExports:
             }
             # equal as objects, and as text: the keys come in the same order
             assert json.loads(out) == expected and out == json.dumps(expected)
+
+    def test_dot_is_built_from_edge_views_circuits_and_palette(self, fx):
+        """The DOT text, line by line, from the edge views, the circuits and the palette."""
+        for p in export_pool(fx):
+            g = matching_graph(p)
+            color = {
+                v: _PALETTE[n % len(_PALETTE)]
+                for n, c in enumerate(picture_circuits(p))
+                for v in c.nodes
+            }
+            label = (lambda s: s.role) if p.k == 1 else (lambda s: f"{s.role}{s.index}")
+            lines = ["graph matching {", "  node [shape=circle];"]
+            for x, s in enumerate(p.cells):
+                i, j = x // p.cols + 1, x % p.cols + 1
+                lines.append(f'  "{i},{j}" [label="{label(s)}", color="{color[i, j]}"];')
+            for edges, style in ((g.row_edges, "solid"), (g.col_edges, "dashed")):
+                lines += [
+                    f'  "{u[0]},{u[1]}" -- "{v[0]},{v[1]}" [style={style}, color="{color[u]}"];'
+                    for u, v in sorted(edges)
+                ]
+            lines.append("}")
+            assert graph_to_dot(g) == "\n".join(lines)
 
     def test_golden_digest(self, fx):
         """DOT and JSON of the fixtures, the double nooses h = 1..30 and a k = 2 picture."""
