@@ -274,12 +274,8 @@ def _export_parts(g: MatchingGraph, sep: str) -> tuple[list[str], list[str], lis
     p = g.picture
     cells, cols = p.cells, [str(j) for j in range(1, p.cols + 1)]
     pos = [row + j for row in [f"{i}{sep}" for i in range(1, p.rows + 1)] for j in cols]
-    if p.k == 1:  # a symbol's text at k = 1 is its role
-        labels = [s.role for s in cells]
-    else:
-        ids = list(map(id, cells))  # by identity: Symbol's dataclass __hash__ runs in Python
-        text = {i: s.text(p.k) for i, s in dict(zip(ids, cells)).items()}
-        labels = list(map(text.__getitem__, ids))
+    # a symbol's text at k = 1 is its role
+    labels = [s.role for s in cells] if p.k == 1 else [s.text(p.k) for s in cells]
     return pos, labels, _walk(cells, g.row_of, g.col_of)
 
 

@@ -169,22 +169,13 @@ _SYMBOL_OF_CHAR = {
 }
 
 
-def _parse_row(toks: Iterable[str], k: int) -> list[Symbol]:
-    if k == 1:
-        try:
-            return [_SYMBOL_OF_CHAR[t] for t in toks]
-        except KeyError:
-            pass
-    return [_parse_token(t, k) for t in toks]
-
-
 def parse_picture(text: str, k: int = 1) -> Picture:
     """Parse picture text: one line per row.
 
     For k=1 each cell is a single character (a|b|c|d|N, corner glyphs and
-    "*"/"•" accepted); for k>1 cells are whitespace-separated tokens like "a2".
-    At k=1 each token is looked up in one table of those characters; any
-    other token goes through _parse_token, which raises UnknownToken or
+    "*"/"•" accepted), and a line may also spell them as whitespace-separated
+    one-character tokens; for k>1 cells are whitespace-separated tokens like
+    "a2".  Each token goes through _parse_token, which raises UnknownToken or
     IndexOutOfRange on a bad one.  InvalidArgument when k < 1.
 
     At k=1, when every line is one token (each line break is whitespace to
@@ -209,8 +200,9 @@ def parse_picture(text: str, k: int = 1) -> Picture:
     rows = []
     for ln in lines:
         toks = ln.split()
-        # at k=1 a line with no inner whitespace is one cell per character
-        rows.append(_parse_row(toks[0] if len(toks) == 1 and k == 1 else toks, k))
+        if len(toks) == 1 and k == 1:  # a line with no inner whitespace is one cell per character
+            toks = toks[0]
+        rows.append([_parse_token(t, k) for t in toks])
     if len({len(r) for r in rows}) != 1:
         raise RaggedRows("lines of unequal length")
     return picture_from_rows(rows, k)

@@ -65,7 +65,7 @@ def _classify_matched(p: Picture, row: list, col: list, rects: list, owner: list
     by accretions (see in_DW).  in_DN gives traces.
     """
     dq = 4 * len(rects) == len(p.cells)
-    dn = dq and len(_kahn(p, rects, owner)) == len(rects)
+    dn = dq and len(_kahn(p.cols, rects, owner)) == len(rects)
     dw = dn and _well_nested(p, row, col)
     return ClassFlags(in_dc=True, in_dq=dq, in_dn=dn, in_dw=dw)
 

@@ -48,39 +48,43 @@ def find_redexes(p: Picture) -> list[Redex]:
     """All rewritable rectangles, sorted by (left, top, right, bottom).
 
     A redex is a 4-cycle of the row and column matchings whose box holds no
-    other non-neutral cell: its a and b have only neutral cells between them,
-    which the matching skips, so they are partners, and likewise for each
-    side.  These are the rectangles Kahn's order starts from.  Column-major
-    order matches the sequence of the worked 4x6 reduction: its first step is
-    the inner rectangle at (2,2), not the one at (1,4).
+    other non-neutral cell, so these are the sweep's rectangles that pass
+    _is_redex.  Column-major order matches the sequence of the worked 4x6
+    reduction: its first step is the inner rectangle at (2,2), not the one
+    at (1,4).
     """
-    rects, owner = _sweep(p)[2:]  # the partner lists are freed here
-    ready = [r for r, deps in zip(rects, _deps(p, rects, owner)) if not deps]
-    return [_redex(r) for r in sorted(ready)]
+    return [r for r in map(_redex, sorted(_sweep(p)[2])) if _is_redex(p, r)]
+
+
+def _is_redex(p: Picture, r: Redex) -> bool:
+    """Whether r is a redex of p, read off its box alone.
+
+    The domain lies inside p, its corners are a b c d with r's index, and
+    every other cell of the box is N.  Such a box is a 4-cycle of the
+    matching with no other cell in it: the matching skips neutral cells, so
+    its a and b are partners, and likewise for each side.
+    """
+    top, left, bottom, right = r.domain.as_tuple()
+    if bottom > p.rows or right > p.cols:
+        return False
+    cols, width = p.cols, right - left + 1
+    box = [p.cells[x : x + width] for x in range((top - 1) * cols + left - 1, bottom * cols, cols)]
+    corners = (box[0][0], box[0][-1], box[-1][0], box[-1][-1])
+    return (
+        "".join([s.role for s in corners]) == "abcd"
+        and all(s.index == r.index for s in corners)
+        and sum([line.count(N) for line in box]) == len(box) * width - 4
+    )
 
 
 def apply_step(p: Picture, r: Redex) -> Picture:
-    """Overwrite the redex rectangle with neutral cells.
-
-    StaleRedex unless r is a redex of p, read off its box alone: the domain
-    lies inside p, its corners are a b c d with r's index, and every other
-    cell of the box is N.  Such a box is a 4-cycle of the matching with no
-    other cell in it, so these are exactly the redexes find_redexes lists.
-    """
+    """Overwrite the redex rectangle with neutral cells; StaleRedex unless _is_redex(p, r)."""
+    if not _is_redex(p, r):
+        raise StaleRedex(f"{r.domain.as_tuple()} no longer matches")
     top, left, bottom, right = r.domain.as_tuple()
     cols, width = p.cols, right - left + 1
-    starts = range((top - 1) * cols + left - 1, bottom * cols, cols)  # of the box's rows
-    inside = bottom <= p.rows and right <= cols
-    box = [p.cells[x : x + width] for x in starts] if inside else []
-    corners = (box[0][0], box[0][-1], box[-1][0], box[-1][-1]) if box else ()
-    if (
-        "".join([s.role for s in corners]) != "abcd"
-        or any(s.index != r.index for s in corners)
-        or sum([line.count(N) for line in box]) != len(box) * width - 4
-    ):
-        raise StaleRedex(f"{r.domain.as_tuple()} no longer matches")
     cells = list(p.cells)
-    for x in starts:
+    for x in range((top - 1) * cols + left - 1, bottom * cols, cols):
         cells[x : x + width] = [N] * width
     return Picture(p.rows, p.cols, p.k, tuple(cells))
 
@@ -90,16 +94,20 @@ def _redex(rect: tuple) -> Redex:
     return Redex(Domain(top, left, bottom, right), index)
 
 
-def _deps(p: Picture, rects: list, owner: list) -> list[set]:
-    """Per rectangle, the owners of the cells in its box, other than itself.
+def _kahn(cols: int, rects: list, owner: list) -> list:
+    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
 
-    Each box row is read as one slice of owner, but not those of a 2x2 box,
-    which holds only its own corners.  The owner of a neutral cell (_NEUTRAL)
-    is discarded with the rectangle's own id.  A non-neutral cell that is no
+    A rectangle waits for the owners of the cells in its box, other than
+    itself, read a box row at a time as slices of owner (a 2x2 box holds
+    only its own corners).  The owner of a neutral cell (_NEUTRAL) is
+    discarded with the rectangle's own id.  A non-neutral cell that is no
     rectangle's corner contributes None: it never turns neutral, so a
-    rectangle that waits for it waits forever.
+    rectangle that waits for it is never ready and is nobody's dependent.
+    A cell turns neutral only as a corner of its own rectangle and applying
+    a redex disables no other, so the ready set is find_redexes of the
+    rewritten picture at every step and the heap pops its first.
     """
-    cols, out = p.cols, []
+    waits, dependents = [], [[] for _ in rects]
     for left, top, right, bottom, _, rid in rects:
         deps, width = set(), right - left + 1
         if width > 2 or bottom - top > 1:
@@ -107,22 +115,8 @@ def _deps(p: Picture, rects: list, owner: list) -> list[set]:
                 deps.update(owner[x : x + width])
         deps.discard(rid)
         deps.discard(_NEUTRAL)
-        out.append(deps)
-    return out
-
-
-def _kahn(p: Picture, rects: list, owner: list) -> list:
-    """Kahn's order over the rectangles, popping the least (left, top, right, bottom).
-
-    A rectangle waits for its _deps.  A cell turns neutral only as a corner
-    of its own rectangle and applying a redex disables no other, so the
-    ready set is find_redexes of the rewritten picture at every step and
-    the heap pops its first.
-    """
-    waits, dependents = [], [[] for _ in rects]
-    for rid, deps in enumerate(_deps(p, rects, owner)):
         waits.append(len(deps))
-        if None not in deps:  # else it is never ready, so it is nobody's dependent
+        if None not in deps:
             for o in deps:
                 dependents[o].append(rid)
     ready = [r for r in rects if not waits[r[-1]]]
@@ -138,13 +132,6 @@ def _kahn(p: Picture, rects: list, owner: list) -> list:
     return order
 
 
-def _greedy(p: Picture) -> Decision:
-    """Kahn's order over the rectangles of the row and column matchings."""
-    rects, owner = _sweep(p)[2:]  # the partner lists are freed here
-    trace = tuple(map(_redex, _kahn(p, rects, owner)))
-    return Decision(4 * len(trace) + owner.count(_NEUTRAL) == len(p.cells), trace)
-
-
 def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     """Decide neutralizability.
 
@@ -158,8 +145,10 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     """
     if strategy not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    d = _greedy(p)
-    return d if d.member or strategy == "greedy" else Decision(False, ())
+    rects, owner = _sweep(p)[2:]  # the partner lists are freed here
+    trace = tuple(map(_redex, _kahn(p.cols, rects, owner)))
+    member = 4 * len(trace) + owner.count(_NEUTRAL) == len(p.cells)
+    return Decision(member, trace if member or strategy == "greedy" else ())
 
 
 @dataclass(frozen=True, slots=True)

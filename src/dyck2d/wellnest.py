@@ -189,8 +189,7 @@ def in_DB(p: Picture) -> bool:
         top, left, bottom, right = box
         w, h, c = right - left + 1, bottom - top - 1, bottom * cols + left
         claimed[a : a + w] = claimed[c : c + w] = b"\1" * w
-        if h:  # a shortcut, not a condition: a 2x2 box's side slices are empty
-            claimed[a + cols : c : cols] = claimed[a + w - 1 + cols : c + w - 1 : cols] = b"\1" * h
+        claimed[a + cols : c : cols] = claimed[a + w - 1 + cols : c + w - 1 : cols] = b"\1" * h
         boxes.append(box)
     work = [boxes] if len(boxes) > 1 else []
     while work:

@@ -85,10 +85,18 @@ class TestIsDyck:
     def test_matches_cancellation_oracle(self, w, pr):
         assert is_dyck(w, pr) == oracle_is_dyck(w, pr.kind)
 
-    def test_exhaustive_length_6(self):
-        letters = [sym(r, 1) for r in "abcd"]
-        for combo in product(letters, repeat=6):
-            assert is_dyck(combo, ROW) == oracle_is_dyck(combo, "Row")
+    @pytest.mark.parametrize("kind", ["Row", "Col"])
+    @pytest.mark.parametrize("k, longest", [(1, 6), (2, 4)])
+    def test_exhaustive_length_6(self, kind, k, longest):
+        # every word of at most 6 letters at k = 1 and 4 at k = 2, bullets included
+        letters = [sym(r, i) for r in "abcd" for i in range(1, k + 1)] + [BULLET_SYM]
+        pr = Pairing(kind, k)
+        for length in range(longest + 1):
+            for w in product(letters, repeat=length):
+                member = is_dyck(w, pr)
+                assert member == oracle_is_dyck(w, kind)
+                if member:
+                    assert set(match_positions(w, pr)) == oracle_match_positions(w, kind)
 
 
 class TestNeutralOrder:

@@ -141,6 +141,16 @@ class TestParseRender:
     def test_empty_text(self):
         assert parse_picture("  \n ").is_empty
 
+    def test_spaced_k1(self):
+        # at k = 1 a line may spell its cells as whitespace-separated one-character tokens
+        pairs = (("a b\nc d", "ab\ncd"), ("⌜ ⌝\n⌞ ⌟", "⌜⌝\n⌞⌟"), ("a * b\nc N d", "a*b\ncNd"))
+        for spaced, compact in pairs:
+            assert parse_picture(spaced).cells == parse_picture(compact).cells
+        with pytest.raises(UnknownToken, match="^unknown token 'x'$"):
+            parse_picture("a x\nc d")
+        with pytest.raises(RaggedRows):
+            parse_picture("a b\nc")
+
     @given(grids)
     def test_round_trip_any(self, mat):
         p = from_matrix(mat)
