@@ -6,7 +6,6 @@ decomposition, and desk-scale search tools.
 """
 
 from .grid import (
-    Domain,
     Picture,
     Symbol,
     concat,
@@ -41,7 +40,6 @@ from .lab import (
 __all__ = [
     "Accretion",
     "ClassFlags",
-    "Domain",
     "Pairing",
     "Picture",
     "Symbol",

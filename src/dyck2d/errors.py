@@ -26,7 +26,7 @@ class SizeMismatch(Dyck2dError):
 
 
 class DomainOutOfBounds(Dyck2dError):
-    """Domain does not fit inside the host picture."""
+    """A cell outside the host picture, or a malformed redex box."""
 
 
 class NeutralNotAllowed(Dyck2dError):

@@ -70,23 +70,6 @@ BULLET_SYM = sym(BULLET)
 
 
 @dataclass(frozen=True, slots=True)
-class Domain:
-    """1-based inclusive rectangle (top, left, bottom, right)."""
-
-    top: int
-    left: int
-    bottom: int
-    right: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.top <= self.bottom and 1 <= self.left <= self.right):
-            raise DomainOutOfBounds(f"malformed domain {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.top, self.left, self.bottom, self.right)
-
-
-@dataclass(frozen=True, slots=True)
 class Picture:
     """Rectangular array of symbols; (0, 0) is the distinct empty picture."""
 
@@ -175,8 +158,9 @@ def parse_picture(text: str, k: int = 1) -> Picture:
     For k=1 each cell is a single character (a|b|c|d|N, corner glyphs and
     "*"/"•" accepted), and a line may also spell them as whitespace-separated
     one-character tokens; for k>1 cells are whitespace-separated tokens like
-    "a2".  Each token goes through _parse_token, which raises UnknownToken or
-    IndexOutOfRange on a bad one.  InvalidArgument when k < 1.
+    "a2".  A one-character token is read from _SYMBOL_OF_CHAR and any other
+    goes through _parse_token, which raises UnknownToken or IndexOutOfRange
+    on a bad one.  InvalidArgument when k < 1.
 
     At k=1, when every line is one token (each line break is whitespace to
     str.split, so text.split() then has a word per line), the joined words
@@ -202,7 +186,7 @@ def parse_picture(text: str, k: int = 1) -> Picture:
         toks = ln.split()
         if len(toks) == 1 and k == 1:  # a line with no inner whitespace is one cell per character
             toks = toks[0]
-        rows.append([_parse_token(t, k) for t in toks])
+        rows.append([_SYMBOL_OF_CHAR.get(t) or _parse_token(t, k) for t in toks])
     if len({len(r) for r in rows}) != 1:
         raise RaggedRows("lines of unequal length")
     return picture_from_rows(rows, k)

@@ -7,18 +7,26 @@ import heapq
 from dataclasses import dataclass
 
 from .crossword import _NEUTRAL, Circuit, _sweep, picture_circuits
-from .errors import NotQuaternate, StaleRedex
-from .grid import Domain, N, Picture
+from .errors import DomainOutOfBounds, NotQuaternate, StaleRedex
+from .grid import NEUTRAL, N, Picture
 
 Pos = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
 class Redex:
-    """A rectangle with corner quadruple i and all-neutral interior."""
+    """A 1-based inclusive box whose corners a b c d carry index; all else in it is N."""
 
-    domain: Domain
+    top: int
+    left: int
+    bottom: int
+    right: int
     index: int
+
+    def __post_init__(self) -> None:
+        if not (1 <= self.top <= self.bottom and 1 <= self.left <= self.right):
+            box = (self.top, self.left, self.bottom, self.right)
+            raise DomainOutOfBounds(f"malformed domain {box}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,10 +43,9 @@ class Decision:
         """
         steps = ", ".join(
             [
-                f'{{"domain": [{d.top}, {d.left}, {d.bottom}, {d.right}], '
+                f'{{"domain": [{r.top}, {r.left}, {r.bottom}, {r.right}], '
                 f'"index": {r.index}, "step_number": {n}}}'
                 for n, r in enumerate(self.trace, start=1)
-                for d in (r.domain,)
             ]
         )
         return f"[{steps}]"
@@ -59,12 +66,12 @@ def find_redexes(p: Picture) -> list[Redex]:
 def _is_redex(p: Picture, r: Redex) -> bool:
     """Whether r is a redex of p, read off its box alone.
 
-    The domain lies inside p, its corners are a b c d with r's index, and
+    The box lies inside p, its corners are a b c d with r's index, and
     every other cell of the box is N.  Such a box is a 4-cycle of the
     matching with no other cell in it: the matching skips neutral cells, so
     its a and b are partners, and likewise for each side.
     """
-    top, left, bottom, right = r.domain.as_tuple()
+    top, left, bottom, right = r.top, r.left, r.bottom, r.right
     if bottom > p.rows or right > p.cols:
         return False
     cols, width = p.cols, right - left + 1
@@ -73,25 +80,24 @@ def _is_redex(p: Picture, r: Redex) -> bool:
     return (
         "".join([s.role for s in corners]) == "abcd"
         and all(s.index == r.index for s in corners)
-        and sum([line.count(N) for line in box]) == len(box) * width - 4
+        and sum([s.role == NEUTRAL for line in box for s in line]) == len(box) * width - 4
     )
 
 
 def apply_step(p: Picture, r: Redex) -> Picture:
     """Overwrite the redex rectangle with neutral cells; StaleRedex unless _is_redex(p, r)."""
     if not _is_redex(p, r):
-        raise StaleRedex(f"{r.domain.as_tuple()} no longer matches")
-    top, left, bottom, right = r.domain.as_tuple()
-    cols, width = p.cols, right - left + 1
+        raise StaleRedex(f"{(r.top, r.left, r.bottom, r.right)} no longer matches")
+    cols, width = p.cols, r.right - r.left + 1
     cells = list(p.cells)
-    for x in range((top - 1) * cols + left - 1, bottom * cols, cols):
+    for x in range((r.top - 1) * cols + r.left - 1, r.bottom * cols, cols):
         cells[x : x + width] = [N] * width
     return Picture(p.rows, p.cols, p.k, tuple(cells))
 
 
 def _redex(rect: tuple) -> Redex:
     left, top, right, bottom, index, _ = rect
-    return Redex(Domain(top, left, bottom, right), index)
+    return Redex(top, left, bottom, right, index)
 
 
 def _kahn(cols: int, rects: list, owner: list) -> list:
@@ -146,9 +152,9 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     if strategy not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rects, owner = _sweep(p)[2:]  # the partner lists are freed here
-    trace = tuple(map(_redex, _kahn(p.cols, rects, owner)))
-    member = 4 * len(trace) + owner.count(_NEUTRAL) == len(p.cells)
-    return Decision(member, trace if member or strategy == "greedy" else ())
+    order = _kahn(p.cols, rects, owner)
+    member = 4 * len(order) + owner.count(_NEUTRAL) == len(p.cells)
+    return Decision(member, tuple(map(_redex, order)) if member or strategy == "greedy" else ())
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from dyck2d import grid
 from dyck2d.errors import (
     DomainOutOfBounds,
     IndexOutOfRange,
@@ -12,7 +13,6 @@ from dyck2d.errors import (
     UnknownToken,
 )
 from dyck2d.grid import (
-    Domain,
     Picture,
     Symbol,
     concat,
@@ -151,6 +151,15 @@ class TestParseRender:
         with pytest.raises(RaggedRows):
             parse_picture("a b\nc")
 
+    def test_spaced_k1_reads_the_char_table(self, monkeypatch):
+        # a one-character token is read from the k = 1 table, not parsed token by token
+        def parse_token(tok, k):
+            raise AssertionError(f"_parse_token({tok!r}) called")
+
+        monkeypatch.setattr(grid, "_parse_token", parse_token)
+        corners = tuple(sym(role, 1) for role in "abcd")
+        assert parse_picture("a b\nc d").cells == parse_picture("⌜ ⌝\n⌞ ⌟").cells == corners
+
     @given(grids)
     def test_round_trip_any(self, mat):
         p = from_matrix(mat)
@@ -257,9 +266,3 @@ class TestConcat:
         if len({p.cols for p in ps}) == 1:
             assert vcat(vcat(ps[0], ps[1]), ps[2]) == vcat(ps[0], vcat(ps[1], ps[2]))
 
-
-class TestDomainSubpicture:
-    def test_malformed_domain(self):
-        for bounds in ((2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
-            with pytest.raises(DomainOutOfBounds, match="^malformed domain"):
-                Domain(*bounds)

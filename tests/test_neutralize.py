@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from itertools import combinations_with_replacement
 import subprocess
 import sys
@@ -10,11 +11,10 @@ from pathlib import Path
 import pytest
 
 from dyck2d import neutralize
-from dyck2d.errors import NotInDC, NotQuaternate, StaleRedex
+from dyck2d.errors import DomainOutOfBounds, NotInDC, NotQuaternate, StaleRedex
 from dyck2d.grid import (
     BULLET_SYM,
     N,
-    Domain,
     Picture,
     hcat,
     parse_picture,
@@ -78,23 +78,31 @@ def rescan_pool(fx):
     return pool
 
 
+class TestRedex:
+    def test_malformed_domain(self):
+        for bounds in ((2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
+            with pytest.raises(DomainOutOfBounds, match=f"^malformed domain {re.escape(str(bounds))}$"):
+                Redex(*bounds, 1)
+
+
 class TestFindRedexes:
     def test_minimal_block(self):
         [r] = find_redexes(parse_picture("ab\ncd"))
-        assert r.domain == Domain(1, 1, 2, 2) and r.index == 1
+        assert (r.top, r.left, r.bottom, r.right) == (1, 1, 2, 2) and r.index == 1
 
     def test_all_neutral(self):
         assert find_redexes(parse_picture("NN\nNN")) == []
 
     def test_interior_must_be_neutral(self):
-        assert find_redexes(parse_picture("aNb\ncNd")) == [Redex(Domain(1, 1, 2, 3), 1)]
+        assert find_redexes(parse_picture("aNb\ncNd")) == [Redex(1, 1, 2, 3, 1)]
         assert find_redexes(parse_picture("aab\ncNd")) == []
 
     def test_worked_example_first_redex(self, fx):
-        assert find_redexes(fx["example1"])[0].domain == Domain(2, 2, 3, 3)
+        r = find_redexes(fx["example1"])[0]
+        assert (r.top, r.left, r.bottom, r.right) == (2, 2, 3, 3)
 
     def test_column_major_order(self, fx):
-        domains = [r.domain.as_tuple() for r in find_redexes(fx["example1"])]
+        domains = [(r.top, r.left, r.bottom, r.right) for r in find_redexes(fx["example1"])]
         assert domains == [(2, 2, 3, 3), (1, 4, 2, 5), (3, 4, 4, 5)]
 
     def test_indices_must_agree(self):
@@ -104,22 +112,23 @@ class TestFindRedexes:
         for p in rescan_pool(fx):
             found = sorted(_redexes(p), key=lambda r: (r[1], r[0], r[3], r[2]))
             expected = [(r, p.cell(r[0], r[1]).index) for r in found]
-            actual = [(r.domain.as_tuple(), r.index) for r in find_redexes(p)]
+            actual = [((r.top, r.left, r.bottom, r.right), r.index) for r in find_redexes(p)]
             assert actual == expected, render_picture(p)
 
 
 class TestApplyStep:
     def test_rewrites_to_neutral(self):
-        p = apply_step(parse_picture("ab\ncd"), Redex(Domain(1, 1, 2, 2), 1))
+        p = apply_step(parse_picture("ab\ncd"), Redex(1, 1, 2, 2, 1))
         assert render_picture(p) == "NN\nNN"
 
     def test_stale_redex(self):
         p = parse_picture("ab\ncd")
-        r = Redex(Domain(1, 1, 2, 2), 1)
+        r = Redex(1, 1, 2, 2, 1)
         q = apply_step(p, r)
         # already applied, wrong index, past the picture's edge
-        for pic, stale in ((q, r), (p, Redex(r.domain, 2)), (p, Redex(Domain(1, 1, 2, 3), 1))):
-            with pytest.raises(StaleRedex):
+        for pic, stale in ((q, r), (p, Redex(1, 1, 2, 2, 2)), (p, Redex(1, 1, 2, 3, 1))):
+            box = (stale.top, stale.left, stale.bottom, stale.right)
+            with pytest.raises(StaleRedex, match=f"^{re.escape(str(box))} no longer matches$"):
                 apply_step(pic, stale)
 
     def test_stale_exactly_off_the_rescan_oracle(self, fx):
@@ -131,7 +140,7 @@ class TestApplyStep:
                     for index in range(1, p.k + 2):
                         box = (top, left, bottom, right)
                         try:
-                            applied[box, index] = apply_step(p, Redex(Domain(*box), index))
+                            applied[box, index] = apply_step(p, Redex(*box, index))
                         except StaleRedex:
                             pass
             fresh = {(box, p.cell(*box[:2]).index) for box in _redexes(p)}
@@ -166,7 +175,7 @@ class TestInDN:
     def test_worked_example_trace(self, fx):
         d = in_DN(fx["example1"])
         assert d.member
-        assert [r.domain.as_tuple() for r in d.trace] == [
+        assert [(r.top, r.left, r.bottom, r.right) for r in d.trace] == [
             (2, 2, 3, 3),
             (1, 2, 4, 3),
             (1, 4, 2, 5),
@@ -180,6 +189,25 @@ class TestInDN:
         steps = json.loads(d.trace_json())
         assert [s["step_number"] for s in steps] == [1, 2, 3, 4, 5, 6]
         assert steps[0] == {"domain": [2, 2, 3, 3], "index": 1, "step_number": 1}
+
+    def test_trace_json_is_json_dumps_text(self, fx):
+        for p in rescan_pool(fx):
+            for strategy in ("greedy", "exhaustive"):
+                d = in_DN(p, strategy)
+                steps = [
+                    {"domain": [r.top, r.left, r.bottom, r.right], "index": r.index, "step_number": n}
+                    for n, r in enumerate(d.trace, start=1)
+                ]
+                assert d.trace_json() == json.dumps(steps), render_picture(p)
+
+    def test_records_only_the_returned_trace(self, fx, monkeypatch):
+        # fig5_left's greedy pass applies 8 rectangles before it sticks
+        calls = []
+        post_init = Redex.__post_init__
+        monkeypatch.setattr(Redex, "__post_init__", lambda r: calls.append(r) or post_init(r))
+        assert in_DN(fx["fig5_left"], "exhaustive") == neutralize.Decision(False, ())
+        assert not calls, f"{len(calls)} Redexes built"
+        assert len(in_DN(fx["fig5_left"]).trace) == len(calls) == 8
 
     def test_fixture_memberships(self, fx):
         assert in_DN(fx["fig1_left"]).member
@@ -204,7 +232,7 @@ class TestInDN:
     def test_matches_greedy_rescan_oracle(self, fx):
         for p in rescan_pool(fx):
             d = in_DN(p)
-            steps = [(r.domain.as_tuple(), r.index) for r in d.trace]
+            steps = [((r.top, r.left, r.bottom, r.right), r.index) for r in d.trace]
             assert (steps, d.member) == oracle_greedy_trace(p), render_picture(p)
 
     def test_exhaustive_matches_rescan_oracle(self, fx):
@@ -212,7 +240,7 @@ class TestInDN:
             steps, member = oracle_greedy_trace(p)
             d = in_DN(p, "exhaustive")
             expected = (steps, True) if member else ([], False)
-            actual = [(r.domain.as_tuple(), r.index) for r in d.trace], d.member
+            actual = [((r.top, r.left, r.bottom, r.right), r.index) for r in d.trace], d.member
             assert actual == expected, render_picture(p)
 
     def test_scale(self, fx):
@@ -223,7 +251,7 @@ class TestInDN:
         assert time.perf_counter() - start < 2.0
         assert big.member and len(big.trace) == 144
         assert long.member
-        assert [r.domain.as_tuple() for r in long.trace] == [
+        assert [(r.top, r.left, r.bottom, r.right) for r in long.trace] == [
             (1, j, 2, j + 1) for j in range(1, 2400, 2)
         ]
 

@@ -114,6 +114,6 @@ def test_in_DN_and_its_trace(name):
     for p in CROSSWORDS + MUTANTS + PARTLY_NEUTRAL:
         d, e = in_DN(p), in_DN(flip(p))
         assert e.member == d.member, p
-        assert {(*box(p, *r.domain.as_tuple()), r.index) for r in d.trace} == {
-            (*r.domain.as_tuple(), r.index) for r in e.trace
+        assert {(*box(p, r.top, r.left, r.bottom, r.right), r.index) for r in d.trace} == {
+            (r.top, r.left, r.bottom, r.right, r.index) for r in e.trace
         }, p

@@ -17,7 +17,6 @@ from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
 from dyck2d import crossword, wellnest
 from dyck2d.grid import (
     BULLET_SYM,
-    Domain,
     N,
     Picture,
     Symbol,
@@ -30,6 +29,7 @@ from dyck2d.grid import (
     vcat,
 )
 from dyck2d.lab import census, classify, enumerate_dc
+from dyck2d.neutralize import Redex
 from dyck2d.wellnest import (
     Accretion,
     chinese_accretion,
@@ -269,16 +269,16 @@ class TestInDW:
         ids=["in_DW", "classify", "in_DB"],
     )
     def test_builds_no_domain(self, monkeypatch, decide, nest):
-        # DW claims rings in one bytearray and DB keeps box tuples: no region, tile or core Domain
+        # DW claims rings in one bytearray and DB keeps box tuples: no per-rectangle Redex
         grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
         pictures = (grid, nest(60))
         calls = []
-        post_init = Domain.__post_init__
-        monkeypatch.setattr(Domain, "__post_init__", lambda d: calls.append(d) or post_init(d))
+        post_init = Redex.__post_init__
+        monkeypatch.setattr(Redex, "__post_init__", lambda r: calls.append(r) or post_init(r))
         for p in pictures:
             assert decide(p)
-        assert not calls, f"{len(calls)} Domains built"
-        assert Domain(1, 1, 2, 2) and len(calls) == 1  # the counter counts
+        assert not calls, f"{len(calls)} Redexes built"
+        assert Redex(1, 1, 2, 2, 1) and len(calls) == 1  # the counter counts
 
     def test_reads_no_is_corner(self, monkeypatch):
         # the crossword matching rejects neutral and bullet cells: no separate corner pass
