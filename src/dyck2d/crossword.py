@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import eq
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ContainsNeutral, DegreeViolation, NotInDC
+from .errors import ContainsNeutral, NotInDC
 from .grid import NEUTRAL, Picture, Symbol
 
 Pos = tuple[int, int]
@@ -24,29 +23,22 @@ _PALETTE = (
 
 @dataclass(frozen=True, slots=True)
 class MatchingGraph:
-    """Row and column match edges laid on the picture grid, held as two partner lists.
+    """Row and column match edges of a crossword picture, held as two partner lists.
 
-    row_of[x] and col_of[x] are the row and the column partner of the picture's
-    cell at flat position x = (i - 1) * cols + j - 1; the edge sets are views of
-    them.  Raises DegreeViolation unless each list pairs every node with another.
+    MatchingGraph(picture) sweeps the picture: row_of[x] and col_of[x] are the
+    row and the column partner of the cell at flat position
+    x = (i - 1) * cols + j - 1, and the edge sets are views of them.  Raises
+    NotInDC off crosswords and ContainsNeutral on a neutral or bullet cell.
     """
 
-    row_of: tuple[int, ...]
-    col_of: tuple[int, ...]
+    row_of: tuple[int, ...] = field(init=False)
+    col_of: tuple[int, ...] = field(init=False)
     picture: Picture
 
     def __post_init__(self) -> None:
-        n = len(self.picture.cells)
-        for partner, kind in ((self.row_of, "row"), (self.col_of, "column")):
-            if len(partner) != n:
-                raise DegreeViolation(f"{len(partner)} {kind} partners for {n} nodes")
-            # the range check comes first, so no entry is used as an index before it is a node
-            if n and (min(partner) < 0 or max(partner) >= n):
-                raise DegreeViolation(f"{kind} partner off the grid")
-            if any(map(eq, partner, range(n))):
-                raise DegreeViolation(f"node is its own {kind} partner")
-            if not all(map(eq, map(partner.__getitem__, partner), range(n))):
-                raise DegreeViolation(f"{kind} partners do not pair the nodes")
+        row, col, _, _ = _match_or_raise(self.picture)
+        object.__setattr__(self, "row_of", tuple(row))
+        object.__setattr__(self, "col_of", tuple(col))
 
     @property
     def row_edges(self) -> frozenset[Edge]:
@@ -192,22 +184,22 @@ def _match_or_raise(p: Picture) -> tuple[list[int], list[int], list, list]:
 
 
 def matching_graph(p: Picture) -> MatchingGraph:
-    """The row and column partner lists of a crossword; NotInDC off crosswords."""
-    row, col, _, _ = _match_or_raise(p)
-    return MatchingGraph(tuple(row), tuple(col), p)
+    """MatchingGraph(p): the row and column partner lists of a crossword; NotInDC off crosswords."""
+    return MatchingGraph(p)
 
 
 def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[list[int]]:
-    """The circuits of two partner lists, as flat positions.
+    """The circuits of a crossword's two partner lists, as flat positions.
 
     A circuit starts at each a not yet seen, in row-major order, and follows
     the row partner first, so the circuits come out sorted by their start.
-    Raises DegreeViolation unless the circuits partition the cells and each
-    reads (a b d c)^+ with one index.
 
-    The lists pair every cell with another, so each step is undone by the list
-    it used: the walk is back at its start after an even number of steps before
-    it can repeat a node, and no later walk enters a closed circuit.
+    The lists must be a crossword's, as the sweep and the enumerator give them
+    to every caller.  They pair every cell with another, so each step is undone
+    by the list it used: the walk is back at its start after an even number of
+    steps before it can repeat a node, and no later walk enters a closed
+    circuit.  The paper proves the rest: the circuits partition the cells, and
+    each reads (a b d c)^+ with one index.
     """
     seen = bytearray(len(cells))
     out = []
@@ -220,15 +212,7 @@ def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[li
             seen[x] = seen[y] = 1
             if (x := col_of[y]) == start:
                 break
-        if len(nodes) % 4:
-            raise DegreeViolation(f"circuit length {len(nodes)} not divisible by 4")
-        labels = [cells[x] for x in nodes]
-        roles, indices = "".join([t.role for t in labels]), {t.index for t in labels}
-        if roles != _CIRCUIT_ROLE_ORDER * (len(nodes) // 4) or indices != {s.index}:
-            raise DegreeViolation(f"circuit labels {tuple(labels)} violate the (abdc)+ law")
         out.append(nodes)
-    if seen.count(1) != len(cells):
-        raise DegreeViolation("some node lies on no circuit")
     return out
 
 
@@ -241,8 +225,7 @@ def circuits(g: MatchingGraph) -> list[Circuit]:
 
     Each circuit starts at its lexicographically smallest a-labeled node and
     follows the row edge first, so labels always read (a b d c)^+.  One walk
-    over g's two partner lists yields the circuits; it raises DegreeViolation
-    unless they partition the nodes and each reads that law with one index.
+    over g's two partner lists, a crossword's, yields the circuits.
     """
     cells, table = g.picture.cells, _positions(g.picture)
     return [_circuit(c, table, cells) for c in _walk(cells, g.row_of, g.col_of)]
@@ -283,8 +266,8 @@ def graph_to_dot(g: MatchingGraph) -> str:
     """DOT export: row edges solid, column edges dashed, one color per circuit.
 
     Nodes in row-major order, and edges sorted as one row-major pass over each
-    partner list reads them; DegreeViolation as for circuits.  The node lines
-    and the edge lines are joined apart, so no list of every line is held.
+    partner list reads them.  The node lines and the edge lines are joined
+    apart, so no list of every line is held.
     """
     pos, labels, circs = _export_parts(g, ",")
     color = [""] * len(pos)
@@ -311,7 +294,7 @@ def graph_to_json(g: MatchingGraph) -> str:
     The text is json.dumps' of that object with its default separators, written
     by joins over one table of position texts "i, j"; a label is a role and
     index digits, so nothing needs escaping.  The edges are read off the
-    partner lists as for DOT; DegreeViolation as for circuits.
+    partner lists as for DOT.
     """
     pos, labels, circs = _export_parts(g, ", ")
     nodes = ", ".join([f'[{ij}, "{label}"]' for ij, label in zip(pos, labels)])

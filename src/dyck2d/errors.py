@@ -49,16 +49,6 @@ class NotInDC(Dyck2dError):
     """Picture is not a Dyck crossword."""
 
 
-class DegreeViolation(Dyck2dError):
-    """Matching graph that breaks the matching-graph laws.
-
-    Raised when a MatchingGraph is built by hand from partner lists that do
-    not pair every node with exactly one other node, or when its circuits
-    are not a partition of the nodes, or not (a b d c)^+ with one index.
-    Cannot occur for graphs built from crossword pictures.
-    """
-
-
 class StaleRedex(Dyck2dError):
     """Redex no longer matches the current picture."""
 

@@ -17,12 +17,11 @@ from dyck2d.crossword import (
     matching_graph,
     picture_circuits,
 )
-from dyck2d.errors import ContainsNeutral, DegreeViolation, NotInDC
+from dyck2d.errors import ContainsNeutral, NotInDC
 from dyck2d.grid import (
     BULLET_SYM,
     N,
     Picture,
-    empty_picture,
     parse_picture,
     render_picture,
     sym,
@@ -193,6 +192,21 @@ class TestMatchingGraph:
         with pytest.raises(ContainsNeutral):
             matching_graph(parse_picture("aNb\ncNd"))
 
+    def test_built_from_the_picture_only(self, fx):
+        for name, p in fx.items():
+            if name != "fig1_mid":
+                assert MatchingGraph(p) == matching_graph(p), name
+        # partner lists are no input: the picture is swept
+        with pytest.raises(TypeError):
+            MatchingGraph((1, 0, 3, 2), (2, 3, 0, 1), parse_picture("ab\ncd"))
+        for text in ("ba\ndc", ""):
+            with pytest.raises(NotInDC, match="^matching graph needs a crossword picture$"):
+                MatchingGraph(parse_picture(text))
+        with pytest.raises(
+            ContainsNeutral, match="^crossword membership is defined over corner symbols$"
+        ):
+            MatchingGraph(parse_picture("aNb\ncNd"))
+
     def test_degree_law(self):
         for p in SMALL_DC:
             g = matching_graph(p)
@@ -231,18 +245,24 @@ class TestMatchingGraph:
 
 
 class TestCircuits:
-    def test_partition_and_label_law(self):
-        for p in SMALL_DC:
+    def test_partition_and_label_law(self, fx):
+        """The circuits partition the cells, alternate row and column matches, and
+        read (a b d c)^+ with one index, read off the picture's own cells."""
+        for p in export_pool(fx):
             circs = picture_circuits(p)
             seen = [n for c in circs for n in c.nodes]
             assert len(seen) == len(set(seen)) == p.rows * p.cols
             for c in circs:
-                assert c.length % 4 == 0
-                reps = c.length // 4
-                assert c.label_text == "abdc" * reps
+                cells = [p.cells[(i - 1) * p.cols + j - 1] for i, j in c.nodes]
+                assert "".join([s.role for s in cells]) == "abdc" * (c.length // 4)
+                assert {s.index for s in cells} == {cells[0].index}
+                # even steps stay in a row, odd steps in a column
+                steps = zip(c.nodes, c.nodes[1:] + c.nodes[:1])
+                assert all(u[n % 2] == v[n % 2] for n, (u, v) in enumerate(steps))
+                assert c.labels == tuple(cells)
 
-    def test_matches_oracle_node_sets(self):
-        for p in SMALL_DC + [parse_picture("abab\ncabd\nacdb\ncdcd")]:
+    def test_matches_oracle_node_sets(self, fx):
+        for p in export_pool(fx) + [parse_picture("abab\ncabd\nacdb\ncdcd")]:
             ours = sorted(sorted(c.nodes) for c in picture_circuits(p))
             theirs = sorted(sorted(c) for c in oracle_circuits(p))
             assert ours == theirs
@@ -258,76 +278,8 @@ class TestCircuits:
         assert lengths(fx["fig3_left"]) == [4, 12]
         assert lengths(fx["fig3_right"]) == [4] * 7 + [36]
         assert lengths(fx["fig4_left"]) == [4, 4, 4, 12]
-
-
-class TestDegreeViolation:
-    """The matching-graph laws on hand-built graphs over ab/cd.
-
-    The constructor checks that each partner list pairs the four nodes;
-    circuits checks the laws of the walk.
-    """
-
-    ROW = (1, 0, 3, 2)
-    COL = (2, 3, 0, 1)
-
-    def graph(self, row_of, col_of, text="ab\ncd"):
-        return MatchingGraph(row_of, col_of, parse_picture(text))
-
-    def test_well_formed(self):
-        assert [c.label_text for c in circuits(self.graph(self.ROW, self.COL))] == ["abdc"]
-
-    def test_extra_row_edge(self):
-        # a second row edge at (1, 2) makes (2, 1) name it too: the list is not a pairing
-        with pytest.raises(DegreeViolation, match="^row partners do not pair the nodes$"):
-            self.graph((1, 0, 1, 2), self.COL)
-
-    def test_missing_column_edge(self):
-        # -1, the stack pass's mark for an unmatched cell, must not wrap to the last node
-        with pytest.raises(DegreeViolation, match="^column partner off the grid$"):
-            self.graph(self.ROW, (2, -1, 0, 1))
-
-    def test_node_outside_the_grid(self):
-        # 4 is the first position past the grid of four nodes
-        for col_of in ((2, 5, 0, 1), (2, 4, 0, 1)):
-            with pytest.raises(DegreeViolation, match="^column partner off the grid$"):
-                self.graph(self.ROW, col_of)
-
-    def test_empty_graph(self):
-        assert circuits(MatchingGraph((), (), empty_picture())) == []
-
-    def test_wrong_length(self):
-        with pytest.raises(DegreeViolation, match="^3 row partners for 4 nodes$"):
-            self.graph((1, 0, 3), self.COL)
-        with pytest.raises(DegreeViolation, match="^5 column partners for 4 nodes$"):
-            self.graph(self.ROW, (*self.COL, 0))
-
-    def test_own_partner(self):
-        with pytest.raises(DegreeViolation, match="^node is its own row partner$"):
-            self.graph((0, 1, 3, 2), self.COL)
-
-    def test_picture_of_another_size(self):
-        # the node count is the picture's, so lists built for another size are rejected
-        with pytest.raises(DegreeViolation, match="^4 row partners for 8 nodes$"):
-            self.graph(self.ROW, self.COL, "abab\ncdcd")
-        g = matching_graph(parse_picture("aabb\nccdd"))
-        with pytest.raises(DegreeViolation, match="^8 row partners for 4 nodes$"):
-            MatchingGraph(g.row_of, g.col_of, parse_picture("ab\ncd"))
-
-    def test_labels_break_the_abdc_law(self):
-        with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):
-            circuits(self.graph(self.ROW, self.COL, "ab\ndc"))
-        # the roles read abdc, but the circuit carries two indices
-        g = MatchingGraph(self.ROW, self.COL, parse_picture("a1 b1\nc1 d2", 2))
-        with pytest.raises(DegreeViolation, match=r"violate the \(abdc\)\+ law$"):
-            circuits(g)
-
-    def test_circuit_of_length_two(self):
-        with pytest.raises(DegreeViolation, match="^circuit length 2 not divisible by 4$"):
-            circuits(self.graph(self.ROW, self.ROW))
-
-    def test_node_on_no_circuit(self):
-        with pytest.raises(DegreeViolation, match="^some node lies on no circuit$"):
-            circuits(self.graph(self.ROW, self.COL, "dd\ndd"))
+        abcd = matching_graph(parse_picture("ab\ncd"))
+        assert [c.label_text for c in circuits(abcd)] == ["abdc"]
 
 
 class TestQuaternate:
