@@ -8,11 +8,12 @@ decomposition, and desk-scale search tools.
 from .grid import (
     Picture,
     Symbol,
-    concat,
     empty_picture,
+    hcat,
     parse_picture,
     render_picture,
     sym,
+    vcat,
 )
 from .dyck1d import (
     Pairing,
@@ -47,7 +48,6 @@ __all__ = [
     "census",
     "chinese_accretion",
     "classify",
-    "concat",
     "double_noose",
     "embed_row",
     "empty_picture",
@@ -56,6 +56,7 @@ __all__ = [
     "find_redexes",
     "fixtures",
     "hamiltonian_search",
+    "hcat",
     "in_DB",
     "in_DC",
     "in_DN",
@@ -74,4 +75,5 @@ __all__ = [
     "priority_graph",
     "render_picture",
     "sym",
+    "vcat",
 ]

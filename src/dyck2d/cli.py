@@ -9,7 +9,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import crossword, lab, neutralize
-from .errors import Dyck2dError
+from .errors import Dyck2dError, InvalidArgument
 from .grid import parse_picture, render_picture
 from .dyck1d import parse_word
 
@@ -99,8 +99,7 @@ def _cmd_fixtures(args) -> int:
             print(name)
         return EXIT_OK
     if args.name not in table:
-        print(f"unknown fixture {args.name!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InvalidArgument(f"unknown fixture {args.name!r}")
     print(render_picture(table[args.name]))
     return EXIT_OK
 

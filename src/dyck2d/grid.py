@@ -116,16 +116,9 @@ def picture_from_rows(rows: Iterable[Iterable[Symbol]], k: int = 1) -> Picture:
 
 
 def _parse_token(tok: str, k: int) -> Symbol:
-    if tok == NEUTRAL:
-        return N
-    if tok in (BULLET, "*"):
-        return BULLET_SYM
+    """Symbol of an indexed corner token like "a2"; alphabet characters are _SYMBOL_OF_CHAR's."""
     role, rest = _ROLE_OF_GLYPH.get(tok[0], tok[0]), tok[1:]
-    if role not in CORNER_ROLES:
-        raise UnknownToken(f"unknown token {_shown(tok)}")
-    if not rest:
-        return sym(role, 1)
-    if not (rest.isascii() and rest.isdecimal()):
+    if role not in CORNER_ROLES or not (rest.isascii() and rest.isdecimal()):
         raise UnknownToken(f"unknown token {_shown(tok)}")
     # compare lengths before int(), which refuses strings of more than 4300 digits
     digits = rest.lstrip("0")
@@ -198,19 +191,12 @@ def render_picture(p: Picture) -> str:
     return "\n".join(sep.join(s.text(p.k) for s in p.row_word(i)) for i in range(1, p.rows + 1))
 
 
-def concat(p: Picture, q: Picture, axis: str = "horizontal") -> Picture:
-    """Horizontal or vertical juxtaposition; the empty picture is the identity."""
-    if axis not in ("horizontal", "vertical"):
-        raise ValueError(f"unknown axis {axis!r}")
-    return _join((p, q), axis == "horizontal")
-
-
 def _join(ps: tuple[Picture, ...], horizontal: bool) -> Picture:
     """All of ps side by side or stacked, in one pass over their cells.
 
     Empty pictures are skipped (the identity) and k is the largest k of the
     others.  With nothing else to join it returns the last picture, or the
-    empty picture when there is none, as a pairwise fold of concat would.
+    empty picture when there is none, as a pairwise fold would.
     """
     parts = [p for p in ps if not p.is_empty]
     if len(parts) < 2:
@@ -231,8 +217,10 @@ def _join(ps: tuple[Picture, ...], horizontal: bool) -> Picture:
 
 
 def hcat(*ps: Picture) -> Picture:
+    """Horizontal concatenation of ps, left to right; the empty picture is the identity."""
     return _join(ps, horizontal=True)
 
 
 def vcat(*ps: Picture) -> Picture:
+    """Vertical concatenation of ps, top to bottom; the empty picture is the identity."""
     return _join(ps, horizontal=False)

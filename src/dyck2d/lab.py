@@ -258,7 +258,7 @@ def embed_row(w: Word) -> Picture:
     depends only on the letter w[t], and the picture is read off that table.
     """
     if not w or not is_dyck(w, ROW) or not all(s in _EMBED_COLUMN for s in w):
-        raise NotDyck(word_text(w))
+        raise NotDyck(word_text(w) or "the empty word")
     return picture_from_rows(zip(*(_EMBED_COLUMN[s] for s in w)))
 
 

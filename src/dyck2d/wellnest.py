@@ -46,8 +46,8 @@ def nesting_accretion(acc: Accretion, mixed_border_indices: bool = True) -> Pict
         )
     k = max(core.k, acc.index)
     uniform = None if mixed_border_indices else acc.index
-    _check_border(acc.w_r, "ab", Pairing("Row", k), uniform)
-    _check_border(acc.w_c, "ac", Pairing("Col", k), uniform)
+    _check_border(acc.w_r, "ab", ROW, uniform)
+    _check_border(acc.w_c, "ac", COL, uniform)
     top = [sym("a", acc.index), *acc.w_r, sym("b", acc.index)]
     bottom = [sym("c", acc.index), *map(COL.close_of, acc.w_r), sym("d", acc.index)]
     middle = [

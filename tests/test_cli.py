@@ -196,8 +196,12 @@ class TestFamilies:
         assert main(["embed-row", "abcd"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "abab\ncdab\nabcd\ncdcd"
 
-    def test_embed_row_rejects_non_dyck(self):
+    def test_embed_row_rejects_non_dyck(self, capsys):
         assert main(["embed-row", "ba"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: ba\n")
+        for word in ("", "   "):
+            assert main(["embed-row", word]) == EXIT_INPUT_ERROR
+            assert capsys.readouterr() == ("", "error: the empty word\n")
 
     def test_embed_row_deep_word(self, capsys):
         word = "a" * 1000 + "b" * 1000
@@ -236,6 +240,7 @@ class TestFixtures:
 
     def test_unknown(self, capsys):
         assert main(["fixtures", "--name", "nope"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: unknown fixture 'nope'\n")
 
 
 class TestParser:

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import dyck2d
 from dyck2d import grid
 from dyck2d.errors import (
     DomainOutOfBounds,
@@ -15,7 +16,6 @@ from dyck2d.errors import (
 from dyck2d.grid import (
     Picture,
     Symbol,
-    concat,
     empty_picture,
     hcat,
     parse_picture,
@@ -152,13 +152,17 @@ class TestParseRender:
             parse_picture("a b\nc")
 
     def test_spaced_k1_reads_the_char_table(self, monkeypatch):
-        # a one-character token is read from the k = 1 table, not parsed token by token
+        # a one-character token is read from the char table at every k, not parsed token by token
         def parse_token(tok, k):
             raise AssertionError(f"_parse_token({tok!r}) called")
 
         monkeypatch.setattr(grid, "_parse_token", parse_token)
         corners = tuple(sym(role, 1) for role in "abcd")
-        assert parse_picture("a b\nc d").cells == parse_picture("⌜ ⌝\n⌞ ⌟").cells == corners
+        others = (grid.N, grid.BULLET_SYM, grid.BULLET_SYM, grid.N)
+        for k in (1, 2, 3):
+            assert parse_picture("a b\nc d", k).cells == corners
+            assert parse_picture("⌜ ⌝\n⌞ ⌟", k).cells == corners
+            assert parse_picture("N *\n• N", k).cells == others
 
     @given(grids)
     def test_round_trip_any(self, mat):
@@ -212,38 +216,38 @@ class TestPicture:
 
 
 class TestConcat:
+    def test_exported(self):
+        assert dyck2d.hcat is hcat and dyck2d.vcat is vcat
+        assert {"hcat", "vcat"} <= set(dyck2d.__all__)
+
     def test_identity(self):
         p = parse_picture("ab\ncd")
         e = empty_picture()
-        for axis in ("horizontal", "vertical"):
-            assert concat(p, e, axis) == p
-            assert concat(e, p, axis) == p
+        for join in (hcat, vcat):
+            assert join(p, e) == p
+            assert join(e, p) == p
         # joining only empty pictures gives the last one, k and all
         assert hcat(empty_picture(3)).k == vcat(empty_picture(), empty_picture(3)).k == 3
 
     def test_horizontal(self):
         p = parse_picture("ab\ncd")
-        assert render_picture(concat(p, p)) == "abab\ncdcd"
+        assert render_picture(hcat(p, p)) == "abab\ncdcd"
 
     def test_vertical(self):
         p = parse_picture("ab\ncd")
-        assert render_picture(concat(p, p, "vertical")) == "ab\ncd\nab\ncd"
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError, match="^unknown axis 'diagonal'$"):
-            concat(parse_picture("ab\ncd"), parse_picture("ab\ncd"), "diagonal")
+        assert render_picture(vcat(p, p)) == "ab\ncd\nab\ncd"
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            concat(parse_picture("ab\ncd"), parse_picture("ab"))
+            hcat(parse_picture("ab\ncd"), parse_picture("ab"))
         with pytest.raises(SizeMismatch):
-            concat(parse_picture("ab"), parse_picture("abab"), "vertical")
+            vcat(parse_picture("ab"), parse_picture("abab"))
 
     def test_many_parts(self):
         p, q = parse_picture("ab\ncd"), parse_picture("a2 b2\nc2 d2", 2)
         assert hcat() == empty_picture()
-        assert hcat(p, empty_picture(), q, p) == concat(concat(p, q), p)
-        assert vcat(q, p, empty_picture()) == concat(q, p, "vertical")
+        assert hcat(p, empty_picture(), q, p) == hcat(hcat(p, q), p)
+        assert vcat(q, p, empty_picture()) == vcat(vcat(q, p), empty_picture())
         assert hcat(p, q).k == 2
         with pytest.raises(SizeMismatch):
             hcat(p, p, parse_picture("ab"))
