@@ -69,12 +69,6 @@ class Circuit:
         return self.nodes[0]
 
 
-def _require_corners(p: Picture) -> None:
-    for s in p.cells:  # a plain loop: the slot read is cheaper than a generator or attrgetter
-        if s.index is None:  # only N and the bullet carry no index
-            raise ContainsNeutral("crossword membership is defined over corner symbols")
-
-
 def _sweep(p: Picture) -> tuple[list[int], list[int], list, list]:
     """The row and column partner lists of p, its rectangles and their owners, in one pass.
 
@@ -156,7 +150,9 @@ def _crossword_matching(p: Picture) -> tuple[list[int], list[int], list, list] |
         return None
     sweep = _sweep(p)
     if -1 in sweep[0] or -1 in sweep[1]:
-        _require_corners(p)
+        for s in p.cells:  # a plain loop: the slot read is cheaper than a generator or attrgetter
+            if s.index is None:  # only N and the bullet carry no index
+                raise ContainsNeutral("crossword membership is defined over corner symbols")
         return None
     return sweep
 
@@ -216,10 +212,6 @@ def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[li
     return out
 
 
-def _circuit(nodes: list[int], table: list[Pos], cells: tuple) -> Circuit:
-    return Circuit(tuple([table[x] for x in nodes]), tuple([cells[x] for x in nodes]))
-
-
 def circuits(g: MatchingGraph) -> list[Circuit]:
     """Partition of the grid into simple circuits, sorted by their start.
 
@@ -228,7 +220,8 @@ def circuits(g: MatchingGraph) -> list[Circuit]:
     over g's two partner lists, a crossword's, yields the circuits.
     """
     cells, table = g.picture.cells, _positions(g.picture)
-    return [_circuit(c, table, cells) for c in _walk(cells, g.row_of, g.col_of)]
+    walks = _walk(cells, g.row_of, g.col_of)
+    return [Circuit(tuple([table[x] for x in c]), tuple([cells[x] for x in c])) for c in walks]
 
 
 def picture_circuits(p: Picture) -> list[Circuit]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NeutralNotAllowed, NotDyck, OddLength
-from .grid import NEUTRAL, Symbol, parse_picture, sym
+from .errors import InvalidArgument, NeutralNotAllowed, NotDyck, OddLength
+from .grid import NEUTRAL, Symbol, parse_picture, sym, word_text
 
 Word = tuple[Symbol, ...]
 
@@ -31,7 +31,7 @@ class Pairing:
 
     def __post_init__(self) -> None:
         if self.kind not in ("Row", "Col"):
-            raise ValueError(f"unknown pairing kind {self.kind!r}")
+            raise InvalidArgument(f"unknown pairing kind {self.kind!r}")
 
     @property
     def _close_map(self) -> dict[str, str]:
@@ -50,13 +50,8 @@ def parse_word(text: str, k: int = 1) -> Word:
     """Parse a word with the same token syntax as picture rows."""
     p = parse_picture(text, k)
     if p.rows > 1:
-        raise ValueError("a word is a single line")
+        raise InvalidArgument("a word is a single line")
     return p.cells
-
-
-def word_text(w: Sequence[Symbol], k: int = 1) -> str:
-    sep = " " if k > 1 else ""
-    return sep.join(s.text(k) for s in w)
 
 
 def _stack_match(w: Sequence[Symbol], end: int, close: dict[str, str]) -> list[int]:

@@ -6,7 +6,7 @@ class Dyck2dError(Exception):
 
 
 class InvalidArgument(Dyck2dError, ValueError):
-    """Argument outside the domain of a generator or search."""
+    """Malformed argument: a value outside the domain of the function it is passed to."""
 
 
 class RaggedRows(Dyck2dError):

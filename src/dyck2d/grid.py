@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DomainOutOfBounds,
@@ -59,6 +59,11 @@ class Symbol:
         return self.role
 
 
+def word_text(w: Sequence[Symbol], k: int = 1) -> str:
+    sep = " " if k > 1 else ""
+    return sep.join(s.text(k) for s in w)
+
+
 @lru_cache(maxsize=None)
 def sym(role: str, index: Optional[int] = None) -> Symbol:
     """Interned Symbol constructor."""
@@ -82,7 +87,7 @@ class Picture:
         if self.rows < 0 or self.cols < 0 or (self.rows == 0) != (self.cols == 0):
             raise InvalidArgument(f"bad picture size {self.rows}x{self.cols}: sides > 0, or 0x0")
         if len(self.cells) != self.rows * self.cols:
-            raise ValueError("cells length must be rows * cols")
+            raise InvalidArgument("cells length must be rows * cols")
         for s in self.cells:
             if s.index is not None and s.index > self.k:
                 raise IndexOutOfRange(f"index {s.index} > k={self.k}")
@@ -109,7 +114,7 @@ def picture_from_rows(rows: Iterable[Iterable[Symbol]], k: int = 1) -> Picture:
     mat = [tuple(r) for r in rows]
     width = len(mat[0]) if mat else 0
     if any(len(r) != width for r in mat):
-        raise RaggedRows("rows of unequal length")
+        raise RaggedRows("lines of unequal length")
     if not width:
         return empty_picture(k)
     return Picture(len(mat), width, k, tuple(chain.from_iterable(mat)))
@@ -180,15 +185,12 @@ def parse_picture(text: str, k: int = 1) -> Picture:
         if len(toks) == 1 and k == 1:  # a line with no inner whitespace is one cell per character
             toks = toks[0]
         rows.append([_SYMBOL_OF_CHAR.get(t) or _parse_token(t, k) for t in toks])
-    if len({len(r) for r in rows}) != 1:
-        raise RaggedRows("lines of unequal length")
     return picture_from_rows(rows, k)
 
 
 def render_picture(p: Picture) -> str:
     """The text parse_picture reads back: a line per row, ascii roles, spaced tokens at k>1."""
-    sep = " " if p.k > 1 else ""
-    return "\n".join(sep.join(s.text(p.k) for s in p.row_word(i)) for i in range(1, p.rows + 1))
+    return "\n".join(word_text(p.row_word(i), p.k) for i in range(1, p.rows + 1))
 
 
 def _join(ps: tuple[Picture, ...], horizontal: bool) -> Picture:

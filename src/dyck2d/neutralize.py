@@ -6,11 +6,9 @@ import graphlib
 import heapq
 from dataclasses import dataclass
 
-from .crossword import _NEUTRAL, Circuit, _sweep, picture_circuits
-from .errors import DomainOutOfBounds, NotQuaternate, StaleRedex
+from .crossword import _NEUTRAL, Circuit, Pos, _sweep, picture_circuits
+from .errors import DomainOutOfBounds, InvalidArgument, NotQuaternate, StaleRedex
 from .grid import NEUTRAL, N, Picture
-
-Pos = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +148,7 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     applies the same rectangles, and one order neutralizes p iff all do.
     """
     if strategy not in ("greedy", "exhaustive"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InvalidArgument(f"unknown strategy {strategy!r}")
     rects, owner = _sweep(p)[2:]  # the partner lists are freed here
     order = _kahn(p.cols, rects, owner)
     member = 4 * len(order) + owner.count(_NEUTRAL) == len(p.cells)

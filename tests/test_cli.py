@@ -10,6 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyck2d.cli import EXIT_EXPECT_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
+from dyck2d.dyck1d import Pairing, parse_word
+from dyck2d.errors import Dyck2dError
+from dyck2d.grid import Picture, parse_picture, sym
+from dyck2d.neutralize import in_DN
 
 
 def write(tmp_path, text, name="picture.txt"):
@@ -202,6 +206,9 @@ class TestFamilies:
         for word in ("", "   "):
             assert main(["embed-row", word]) == EXIT_INPUT_ERROR
             assert capsys.readouterr() == ("", "error: the empty word\n")
+        for brk in ("\n", "\r", "\x85", "\u2028"):
+            assert main(["embed-row", f"ab{brk}cd"]) == EXIT_INPUT_ERROR
+            assert capsys.readouterr() == ("", "error: a word is a single line\n")
 
     def test_embed_row_deep_word(self, capsys):
         word = "a" * 1000 + "b" * 1000
@@ -347,6 +354,39 @@ def test_fuzz_picture_verbs(text):
             if code == EXIT_OK and verb[-1] == "json":
                 obj = out.removesuffix("\n")
                 assert json.dumps(json.loads(obj)) == obj
+
+
+# tokens, spaces, NUL and every line break of str.splitlines
+_WORD_PIECES = st.sampled_from(
+    ["a", "b", "c", "d", "N", "*", "a2", "x", " ", "\t", "\x00", "\r\n"]
+    + list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WORD_PIECES, max_size=12).map("".join))
+def test_fuzz_word_verb(word):
+    # embed-row ends in 0 or a clean input error of one short line
+    code, _, err = run_in_process(["embed-row", word], "")
+    assert code in (EXIT_OK, EXIT_INPUT_ERROR), (word, code)
+    assert "Traceback" not in err and err.count("\n") <= 1 and len(err.encode()) < 200, err[:300]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Picture(2, 2, 1, (sym("a", 1),)), "cells length must be rows * cols"),
+        (lambda: Pairing("Diag"), "unknown pairing kind 'Diag'"),
+        (lambda: in_DN(parse_picture("ab\ncd"), "eager"), "unknown strategy 'eager'"),
+        (lambda: parse_word("ab\ncd"), "a word is a single line"),
+    ],
+    ids=["Picture", "Pairing", "in_DN", "parse_word"],
+)
+def test_bad_argument_is_a_package_error(call, message):
+    # one exception family, so main's one handler covers it; it is still a ValueError
+    with pytest.raises(Dyck2dError) as e:
+        call()
+    assert isinstance(e.value, ValueError) and str(e.value) == message
 
 
 def peak_bytes_per_cell(tmp_path, verb):

@@ -211,7 +211,7 @@ class TestPicture:
     def test_rows_of_no_cells_are_the_empty_picture(self):
         assert picture_from_rows([]) == picture_from_rows([[], []]) == empty_picture()
         assert picture_from_rows([[], []], k=2) == empty_picture(2)
-        with pytest.raises(RaggedRows):
+        with pytest.raises(RaggedRows, match="^lines of unequal length$"):
             picture_from_rows([[], [sym("a", 1)]])
 
 

@@ -170,11 +170,11 @@ BORDER_MODES = pytest.mark.parametrize("mixed", [True, False], ids=["mixed", "un
 @pytest.fixture
 def no_corner_pre_pass(monkeypatch):
     # neutral and bullet cells are never matched, and the empty picture's scan
-    # claims nothing, so in_DW needs no corner pre-pass
+    # claims nothing, so in_DW never reaches the crossword gate and its corner check
     def no_pre_pass(p):
-        raise AssertionError("in_DW ran the corner pre-pass")
+        raise AssertionError("in_DW ran the crossword gate")
 
-    monkeypatch.setattr(crossword, "_require_corners", no_pre_pass)
+    monkeypatch.setattr(crossword, "_crossword_matching", no_pre_pass)
 
 
 class TestInDW:
