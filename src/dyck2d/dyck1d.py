@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidArgument, NeutralNotAllowed, NotDyck, OddLength
+from .errors import ContainsNeutral, InvalidArgument, NotDyck
 from .grid import NEUTRAL, Symbol, parse_picture, sym, word_text
 
 Word = tuple[Symbol, ...]
@@ -78,7 +78,7 @@ def _stack_match(w: Sequence[Symbol], end: int, close: dict[str, str]) -> list[i
 def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[list[int]]:
     """The partner list over 0-based positions of the Dyck word w, else None.
 
-    A neutral raises NeutralNotAllowed unless a closer or bullet before it failed.
+    A neutral raises ContainsNeutral unless a closer or bullet before it failed.
     """
     close = pr._close_map
     roles = [s.role for s in w]
@@ -89,7 +89,7 @@ def _word_match(w: Sequence[Symbol], pr: Pairing) -> Optional[list[int]]:
     if closers > pairs:
         return None
     if end < len(roles):
-        raise NeutralNotAllowed(f"neutral at position {end + 1}")
+        raise ContainsNeutral(f"neutral at position {end + 1}")
     return partner if 2 * pairs == end else None
 
 
@@ -140,7 +140,7 @@ def enumerate_dyck(n: int, pr: Pairing) -> list[Word]:
     prefix by the letters in alphabet order, so it stays lexicographic.
     """
     if n < 0 or n % 2:
-        raise OddLength(f"no Dyck words of length {n}")
+        raise InvalidArgument(f"no Dyck words of length {n}")
     close = pr._close_map
     letters = [(r, i) for r in "abcd" for i in range(1, pr.k + 1)]
     alphabet = [(sym(r, i), sym(close[r], i) if r in close else None) for r, i in letters]

@@ -21,28 +21,12 @@ class IndexOutOfRange(Dyck2dError):
     """Cell token carries an index outside [1..k]."""
 
 
-class SizeMismatch(Dyck2dError):
-    """Concatenation operands disagree on the shared dimension."""
-
-
-class DomainOutOfBounds(Dyck2dError):
-    """A cell outside the host picture, or a malformed redex box."""
-
-
-class NeutralNotAllowed(Dyck2dError):
-    """Word contains a neutral symbol where none is permitted."""
-
-
 class NotDyck(Dyck2dError):
-    """Word is not a Dyck word under the given pairing."""
-
-
-class OddLength(Dyck2dError):
-    """Dyck words have even length."""
+    """Word is not Dyck under the given pairing, or an accretion border not Dyck over its pairs."""
 
 
 class ContainsNeutral(Dyck2dError):
-    """Picture contains neutral cells where none are permitted."""
+    """Word or picture contains neutral cells where none are permitted."""
 
 
 class NotInDC(Dyck2dError):
@@ -59,14 +43,6 @@ class HierarchyViolation(Dyck2dError, AssertionError):
 
 class NotQuaternate(Dyck2dError):
     """Picture has a circuit longer than 4."""
-
-
-class LengthMismatch(Dyck2dError):
-    """Accretion border word length disagrees with the core size."""
-
-
-class NotDyckBorder(Dyck2dError):
-    """Accretion border word is not a Dyck word over the required pairs."""
 
 
 class BudgetExceeded(Dyck2dError):

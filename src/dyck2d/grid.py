@@ -12,14 +12,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    DomainOutOfBounds,
-    IndexOutOfRange,
-    InvalidArgument,
-    RaggedRows,
-    SizeMismatch,
-    UnknownToken,
-)
+from .errors import IndexOutOfRange, InvalidArgument, RaggedRows, UnknownToken
 
 CORNER_ROLES = ("a", "b", "c", "d")
 NEUTRAL = "N"
@@ -99,7 +92,7 @@ class Picture:
     def cell(self, i: int, j: int) -> Symbol:
         """1-based cell access."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise DomainOutOfBounds(f"cell ({i},{j}) outside {self.rows}x{self.cols}")
+            raise InvalidArgument(f"cell ({i},{j}) outside {self.rows}x{self.cols}")
         return self.cells[(i - 1) * self.cols + (j - 1)]
 
     def row_word(self, i: int) -> tuple[Symbol, ...]:
@@ -207,13 +200,13 @@ def _join(ps: tuple[Picture, ...], horizontal: bool) -> Picture:
     if horizontal:
         for q in parts:
             if q.rows != first.rows:
-                raise SizeMismatch(f"{first.rows} rows vs {q.rows} rows")
+                raise InvalidArgument(f"{first.rows} rows vs {q.rows} rows")
         runs = (q.cells[i * q.cols : (i + 1) * q.cols] for i in range(first.rows) for q in parts)
         cells = tuple(chain.from_iterable(runs))
         return Picture(first.rows, sum(q.cols for q in parts), k, cells)
     for q in parts:
         if q.cols != first.cols:
-            raise SizeMismatch(f"{first.cols} cols vs {q.cols} cols")
+            raise InvalidArgument(f"{first.cols} cols vs {q.cols} cols")
     cells = tuple(chain.from_iterable(q.cells for q in parts))
     return Picture(sum(q.rows for q in parts), first.cols, k, cells)
 

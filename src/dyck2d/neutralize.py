@@ -7,7 +7,7 @@ import heapq
 from dataclasses import dataclass
 
 from .crossword import _NEUTRAL, Circuit, Pos, _sweep, picture_circuits
-from .errors import DomainOutOfBounds, InvalidArgument, NotQuaternate, StaleRedex
+from .errors import InvalidArgument, NotQuaternate, StaleRedex
 from .grid import NEUTRAL, N, Picture
 
 
@@ -24,7 +24,7 @@ class Redex:
     def __post_init__(self) -> None:
         if not (1 <= self.top <= self.bottom and 1 <= self.left <= self.right):
             box = (self.top, self.left, self.bottom, self.right)
-            raise DomainOutOfBounds(f"malformed domain {box}")
+            raise InvalidArgument(f"malformed domain {box}")
 
 
 @dataclass(frozen=True, slots=True)

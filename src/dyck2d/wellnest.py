@@ -8,7 +8,7 @@ from operator import itemgetter
 
 from .crossword import _sweep
 from .dyck1d import COL, ROW, Pairing, Word, is_dyck
-from .errors import ContainsNeutral, LengthMismatch, NotDyckBorder
+from .errors import ContainsNeutral, InvalidArgument, NotDyck
 from .grid import BULLET, BULLET_SYM, NEUTRAL, Picture, picture_from_rows, sym
 
 
@@ -25,11 +25,11 @@ class Accretion:
 def _check_border(w: Word, roles: str, pr: Pairing, uniform_index: int | None) -> None:
     for s in w:
         if s.role not in roles:
-            raise NotDyckBorder(f"border letter {s.role!r} not in {{{roles}}}")
+            raise NotDyck(f"border letter {s.role!r} not in {{{roles}}}")
         if uniform_index is not None and s.index != uniform_index:
-            raise NotDyckBorder(f"border index {s.index} != {uniform_index}")
+            raise NotDyck(f"border index {s.index} != {uniform_index}")
     if not is_dyck(w, pr):
-        raise NotDyckBorder("border word is not Dyck over its pairs")
+        raise NotDyck("border word is not Dyck over its pairs")
 
 
 def nesting_accretion(acc: Accretion, mixed_border_indices: bool = True) -> Picture:
@@ -41,7 +41,7 @@ def nesting_accretion(acc: Accretion, mixed_border_indices: bool = True) -> Pict
     """
     core = acc.core
     if len(acc.w_r) != core.cols or len(acc.w_c) != core.rows:
-        raise LengthMismatch(
+        raise InvalidArgument(
             f"|w_r|={len(acc.w_r)} |w_c|={len(acc.w_c)} vs core {core.rows}x{core.cols}"
         )
     k = max(core.k, acc.index)

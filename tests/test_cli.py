@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyck2d.cli import EXIT_EXPECT_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
-from dyck2d.dyck1d import Pairing, parse_word
+from dyck2d.dyck1d import ROW, Pairing, enumerate_dyck, parse_word
+from dyck2d import errors
 from dyck2d.errors import Dyck2dError
-from dyck2d.grid import Picture, parse_picture, sym
-from dyck2d.neutralize import in_DN
+from dyck2d.grid import Picture, hcat, parse_picture, sym
+from dyck2d.neutralize import Redex, in_DN
+from dyck2d.wellnest import Accretion, nesting_accretion
 
 
 def write(tmp_path, text, name="picture.txt"):
@@ -379,14 +382,34 @@ def test_fuzz_word_verb(word):
         (lambda: Pairing("Diag"), "unknown pairing kind 'Diag'"),
         (lambda: in_DN(parse_picture("ab\ncd"), "eager"), "unknown strategy 'eager'"),
         (lambda: parse_word("ab\ncd"), "a word is a single line"),
+        (lambda: hcat(parse_picture("ab\ncd"), parse_picture("ab\ncd\nab\ncd")), "2 rows vs 4 rows"),
+        (lambda: parse_picture("ab\ncd").cell(0, 1), "cell (0,1) outside 2x2"),
+        (lambda: Redex(0, 1, 1, 1, 1), "malformed domain (0, 1, 1, 1)"),
+        (lambda: enumerate_dyck(3, ROW), "no Dyck words of length 3"),
+        (
+            lambda: nesting_accretion(Accretion(1, (), (), parse_picture("ab\ncd"))),
+            "|w_r|=0 |w_c|=0 vs core 2x2",
+        ),
     ],
-    ids=["Picture", "Pairing", "in_DN", "parse_word"],
+    ids=["Picture", "Pairing", "in_DN", "parse_word", "hcat", "cell", "Redex", "enumerate_dyck", "nesting_accretion"],
 )
 def test_bad_argument_is_a_package_error(call, message):
     # one exception family, so main's one handler covers it; it is still a ValueError
     with pytest.raises(Dyck2dError) as e:
         call()
     assert isinstance(e.value, ValueError) and str(e.value) == message
+
+
+def test_every_error_class_is_raised():
+    # a class that no raise names is a rule with no home of its own: fold it into one that has
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    defined = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert defined - {"Dyck2dError"} - raised == set()
 
 
 def peak_bytes_per_cell(tmp_path, verb):

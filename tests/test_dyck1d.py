@@ -15,7 +15,7 @@ from dyck2d.dyck1d import (
     prime_factorize,
     word_text,
 )
-from dyck2d.errors import NeutralNotAllowed, NotDyck, OddLength
+from dyck2d.errors import ContainsNeutral, InvalidArgument, NotDyck
 from dyck2d.grid import BULLET_SYM, N, sym
 
 from oracles import oracle_is_dyck, oracle_match_positions, oracle_neutralize_word
@@ -78,7 +78,7 @@ class TestIsDyck:
         assert is_dyck((), ROW)
 
     def test_neutral_rejected(self):
-        with pytest.raises(NeutralNotAllowed):
+        with pytest.raises(ContainsNeutral):
             is_dyck(parse_word("aNb"), ROW)
 
     @given(random_words, pairings)
@@ -112,7 +112,7 @@ class TestNeutralOrder:
     def test_neutral_before_failure(self):
         w = parse_word("abN")
         for reader in (is_dyck, match_positions):
-            with pytest.raises(NeutralNotAllowed, match="^neutral at position 3$"):
+            with pytest.raises(ContainsNeutral, match="^neutral at position 3$"):
                 reader(w, ROW)
 
     def test_bullet_is_never_matched(self):
@@ -224,5 +224,5 @@ class TestEnumerate:
         assert set(enumerate_dyck(6, COL)) == brute
 
     def test_odd_raises(self):
-        with pytest.raises(OddLength):
+        with pytest.raises(InvalidArgument):
             enumerate_dyck(3, ROW)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dyck2d import neutralize
-from dyck2d.errors import DomainOutOfBounds, NotInDC, NotQuaternate, StaleRedex
+from dyck2d.errors import InvalidArgument, NotInDC, NotQuaternate, StaleRedex
 from dyck2d.grid import (
     BULLET_SYM,
     N,
@@ -81,7 +81,7 @@ def rescan_pool(fx):
 class TestRedex:
     def test_malformed_domain(self):
         for bounds in ((2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
-            with pytest.raises(DomainOutOfBounds, match=f"^malformed domain {re.escape(str(bounds))}$"):
+            with pytest.raises(InvalidArgument, match=f"^malformed domain {re.escape(str(bounds))}$"):
                 Redex(*bounds, 1)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyck2d.crossword import _sweep, in_DC
 from dyck2d.dyck1d import Pairing, enumerate_dyck, parse_word
-from dyck2d.errors import ContainsNeutral, LengthMismatch, NotDyckBorder
+from dyck2d.errors import ContainsNeutral, InvalidArgument, NotDyck
 from dyck2d import crossword, wellnest
 from dyck2d.grid import (
     BULLET_SYM,
@@ -121,19 +121,19 @@ class TestNestingAccretion:
         assert render_picture(p) == "aaabbb\naababb\nccdcdd\ncccddd"
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidArgument):
             nesting_accretion(Accretion(1, parse_word("ab"), (), empty_picture()))
 
     def test_bad_border_letters(self):
         core = parse_picture("ab\ncd")
-        with pytest.raises(NotDyckBorder):
+        with pytest.raises(NotDyck):
             nesting_accretion(Accretion(1, parse_word("cd"), parse_word("ac"), core))
-        with pytest.raises(NotDyckBorder):
+        with pytest.raises(NotDyck):
             nesting_accretion(Accretion(1, parse_word("ab"), parse_word("ab"), core))
 
     def test_non_dyck_border(self):
         core = parse_picture("ab\ncd")
-        with pytest.raises(NotDyckBorder):
+        with pytest.raises(NotDyck):
             nesting_accretion(Accretion(1, parse_word("ba"), parse_word("ac"), core))
 
     def test_uniform_index_switch(self):
@@ -141,7 +141,7 @@ class TestNestingAccretion:
         acc = Accretion(2, parse_word("a1 b1", k=2), parse_word("a1 c1", k=2), core)
         framed = nesting_accretion(acc)  # mixed indices allowed by default
         assert framed.cell(1, 1).index == 2 and framed.cell(1, 2).index == 1
-        with pytest.raises(NotDyckBorder):
+        with pytest.raises(NotDyck):
             nesting_accretion(acc, mixed_border_indices=False)
 
     def test_uniform_index_accepts_matching_borders(self):
@@ -391,6 +391,16 @@ class TestRingScan:
         p = parse_picture("*a\nbc\nd*")
         assert wellnest._box(p, "".join(s.role for s in p.cells), 1) is None
         assert not in_DB(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a1 b2\nc1 d1", "a1 b1\nc2 d1", "a1 * * b1\n* a1 b2 *\n* c1 d1 *\nc1 * * d1"],
+        ids=["b2", "c2", "inner-b2"],
+    )
+    def test_box_reads_every_corner_index(self, text):
+        # a top-right or bottom-left corner of index 2, alone or in an inner box, makes no box
+        p = parse_picture(text, k=2)
+        assert not in_DB(p) and not oracle_in_db(p)
 
     @pytest.mark.parametrize(
         "text, member",
