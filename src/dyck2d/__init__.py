@@ -25,7 +25,7 @@ from .dyck1d import (
     prime_factorize,
 )
 from .crossword import in_DC, is_quaternate, matching_graph, picture_circuits
-from .neutralize import find_redexes, apply_step, in_DN, in_DN_quaternate, priority_graph
+from .neutralize import in_DN, in_DN_quaternate, priority_graph
 from .wellnest import chinese_accretion, in_DB, in_DW, nesting_accretion, Accretion
 from .lab import (
     ClassFlags,
@@ -44,7 +44,6 @@ __all__ = [
     "Pairing",
     "Picture",
     "Symbol",
-    "apply_step",
     "census",
     "chinese_accretion",
     "classify",
@@ -53,7 +52,6 @@ __all__ = [
     "empty_picture",
     "enumerate_dc",
     "enumerate_dyck",
-    "find_redexes",
     "fixtures",
     "hamiltonian_search",
     "hcat",

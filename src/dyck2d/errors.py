@@ -33,10 +33,6 @@ class NotInDC(Dyck2dError):
     """Picture is not a Dyck crossword."""
 
 
-class StaleRedex(Dyck2dError):
-    """Redex no longer matches the current picture."""
-
-
 class HierarchyViolation(Dyck2dError, AssertionError):
     """Class flags break the inclusion chain DW <= DN <= DQ <= DC; signals a bug."""
 

@@ -7,8 +7,8 @@ import heapq
 from dataclasses import dataclass
 
 from .crossword import _NEUTRAL, Circuit, Pos, _sweep, picture_circuits
-from .errors import InvalidArgument, NotQuaternate, StaleRedex
-from .grid import NEUTRAL, N, Picture
+from .errors import InvalidArgument, NotQuaternate
+from .grid import Picture
 
 
 @dataclass(frozen=True, slots=True)
@@ -20,11 +20,6 @@ class Redex:
     bottom: int
     right: int
     index: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.top <= self.bottom and 1 <= self.left <= self.right):
-            box = (self.top, self.left, self.bottom, self.right)
-            raise InvalidArgument(f"malformed domain {box}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,50 +44,6 @@ class Decision:
         return f"[{steps}]"
 
 
-def find_redexes(p: Picture) -> list[Redex]:
-    """All rewritable rectangles, sorted by (left, top, right, bottom).
-
-    A redex is a 4-cycle of the row and column matchings whose box holds no
-    other non-neutral cell, so these are the sweep's rectangles that pass
-    _is_redex.  Column-major order matches the sequence of the worked 4x6
-    reduction: its first step is the inner rectangle at (2,2), not the one
-    at (1,4).
-    """
-    return [r for r in map(_redex, sorted(_sweep(p)[2])) if _is_redex(p, r)]
-
-
-def _is_redex(p: Picture, r: Redex) -> bool:
-    """Whether r is a redex of p, read off its box alone.
-
-    The box lies inside p, its corners are a b c d with r's index, and
-    every other cell of the box is N.  Such a box is a 4-cycle of the
-    matching with no other cell in it: the matching skips neutral cells, so
-    its a and b are partners, and likewise for each side.
-    """
-    top, left, bottom, right = r.top, r.left, r.bottom, r.right
-    if bottom > p.rows or right > p.cols:
-        return False
-    cols, width = p.cols, right - left + 1
-    box = [p.cells[x : x + width] for x in range((top - 1) * cols + left - 1, bottom * cols, cols)]
-    corners = (box[0][0], box[0][-1], box[-1][0], box[-1][-1])
-    return (
-        "".join([s.role for s in corners]) == "abcd"
-        and all(s.index == r.index for s in corners)
-        and sum([s.role == NEUTRAL for line in box for s in line]) == len(box) * width - 4
-    )
-
-
-def apply_step(p: Picture, r: Redex) -> Picture:
-    """Overwrite the redex rectangle with neutral cells; StaleRedex unless _is_redex(p, r)."""
-    if not _is_redex(p, r):
-        raise StaleRedex(f"{(r.top, r.left, r.bottom, r.right)} no longer matches")
-    cols, width = p.cols, r.right - r.left + 1
-    cells = list(p.cells)
-    for x in range((r.top - 1) * cols + r.left - 1, r.bottom * cols, cols):
-        cells[x : x + width] = [N] * width
-    return Picture(p.rows, p.cols, p.k, tuple(cells))
-
-
 def _redex(rect: tuple) -> Redex:
     left, top, right, bottom, index, _ = rect
     return Redex(top, left, bottom, right, index)
@@ -108,8 +59,8 @@ def _kahn(cols: int, rects: list, owner: list) -> list:
     rectangle's corner contributes None: it never turns neutral, so a
     rectangle that waits for it is never ready and is nobody's dependent.
     A cell turns neutral only as a corner of its own rectangle and applying
-    a redex disables no other, so the ready set is find_redexes of the
-    rewritten picture at every step and the heap pops its first.
+    a redex disables no other, so the ready set is the set of redexes of
+    the rewritten picture at every step and the heap pops its least.
     """
     waits, dependents = [], [[] for _ in rects]
     for left, top, right, bottom, _, rid in rects:

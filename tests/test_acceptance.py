@@ -14,10 +14,12 @@ from dyck2d.crossword import is_quaternate, matching_graph, picture_circuits
 from dyck2d.dyck1d import Pairing, enumerate_dyck, word_text
 from dyck2d.grid import hcat, parse_picture, render_picture, vcat
 from dyck2d.lab import census, classify, double_noose, embed_row, enumerate_dc, fixtures
-from dyck2d.neutralize import apply_step, find_redexes, in_DN, in_DN_quaternate, priority_graph
+from dyck2d.neutralize import in_DN, in_DN_quaternate, priority_graph
 from dyck2d.wellnest import in_DW
 
+from certificates import ordered_redexes, replay_dn_trace
 from oracles import (
+    _rewrite,
     all_pictures,
     oracle_dw_set,
     oracle_in_dc,
@@ -85,10 +87,8 @@ def test_criterion_2_worked_reduction():
     ]
     decision = in_DN(FX["example1"], strategy="greedy")
     assert decision.member and len(decision.trace) == 6
-    p = FX["example1"]
-    for step, stage in zip(decision.trace, stages):
-        p = apply_step(p, step)
-        assert render_picture(p) == stage
+    replayed = replay_dn_trace(FX["example1"], decision.trace)
+    assert [render_picture(p) for p in replayed] == stages
 
 
 @criterion(3, "circuit length multisets and labels of the published pictures")
@@ -173,9 +173,7 @@ def test_criterion_7_order_independence():
     shapes = [(2, 2), (2, 4), (4, 2), (2, 6), (6, 2), (2, 8), (8, 2), (4, 4)]
     pool = small_dc(shapes)
     # also exercise partially rewritten pictures, which contain neutrals
-    perturbed = [
-        apply_step(p, r) for p in pool for r in find_redexes(p)
-    ]
+    perturbed = [_rewrite(p, r) for p in pool for r in ordered_redexes(p)]
     for p in pool + perturbed:
         assert in_DN(p, "greedy").member == in_DN(p, "exhaustive").member
         assert in_DN(p).member == oracle_in_dn(p)

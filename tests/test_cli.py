@@ -15,7 +15,7 @@ from dyck2d.dyck1d import ROW, Pairing, enumerate_dyck, parse_word
 from dyck2d import errors
 from dyck2d.errors import Dyck2dError
 from dyck2d.grid import Picture, hcat, parse_picture, sym
-from dyck2d.neutralize import Redex, in_DN
+from dyck2d.neutralize import in_DN
 from dyck2d.wellnest import Accretion, nesting_accretion
 
 
@@ -384,14 +384,13 @@ def test_fuzz_word_verb(word):
         (lambda: parse_word("ab\ncd"), "a word is a single line"),
         (lambda: hcat(parse_picture("ab\ncd"), parse_picture("ab\ncd\nab\ncd")), "2 rows vs 4 rows"),
         (lambda: parse_picture("ab\ncd").cell(0, 1), "cell (0,1) outside 2x2"),
-        (lambda: Redex(0, 1, 1, 1, 1), "malformed domain (0, 1, 1, 1)"),
         (lambda: enumerate_dyck(3, ROW), "no Dyck words of length 3"),
         (
             lambda: nesting_accretion(Accretion(1, (), (), parse_picture("ab\ncd"))),
             "|w_r|=0 |w_c|=0 vs core 2x2",
         ),
     ],
-    ids=["Picture", "Pairing", "in_DN", "parse_word", "hcat", "cell", "Redex", "enumerate_dyck", "nesting_accretion"],
+    ids=["Picture", "Pairing", "in_DN", "parse_word", "hcat", "cell", "enumerate_dyck", "nesting_accretion"],
 )
 def test_bad_argument_is_a_package_error(call, message):
     # one exception family, so main's one handler covers it; it is still a ValueError

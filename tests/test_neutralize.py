@@ -1,17 +1,16 @@
 import json
 import os
 import random
-import re
-from itertools import combinations_with_replacement
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from dyck2d import neutralize
-from dyck2d.errors import InvalidArgument, NotInDC, NotQuaternate, StaleRedex
+from dyck2d.errors import NotInDC, NotQuaternate
 from dyck2d.grid import (
     BULLET_SYM,
     N,
@@ -25,14 +24,13 @@ from dyck2d.grid import (
 from dyck2d.lab import enumerate_dc
 from dyck2d.neutralize import (
     Redex,
-    apply_step,
-    find_redexes,
     in_DN,
     in_DN_quaternate,
     priority_graph,
 )
 
-from oracles import _redexes, _rewrite, oracle_greedy_trace, oracle_in_dn
+from certificates import ordered_redexes, replay_dn_trace
+from oracles import _rewrite, oracle_greedy_trace, oracle_in_dn
 
 SMALL_DC = [
     p
@@ -50,9 +48,9 @@ def perturbed(pictures, rng):
     """Pictures with some neutral area: one random rewrite step applied."""
     out = []
     for p in pictures:
-        redexes = find_redexes(p)
+        redexes = ordered_redexes(p)
         if redexes:
-            out.append(apply_step(p, rng.choice(redexes)))
+            out.append(_rewrite(p, rng.choice(redexes)))
     return out
 
 
@@ -76,91 +74,6 @@ def rescan_pool(fx):
         if p.rows == p.cols == 4
     ]
     return pool
-
-
-class TestRedex:
-    def test_malformed_domain(self):
-        for bounds in ((2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)):
-            with pytest.raises(InvalidArgument, match=f"^malformed domain {re.escape(str(bounds))}$"):
-                Redex(*bounds, 1)
-
-
-class TestFindRedexes:
-    def test_minimal_block(self):
-        [r] = find_redexes(parse_picture("ab\ncd"))
-        assert (r.top, r.left, r.bottom, r.right) == (1, 1, 2, 2) and r.index == 1
-
-    def test_all_neutral(self):
-        assert find_redexes(parse_picture("NN\nNN")) == []
-
-    def test_interior_must_be_neutral(self):
-        assert find_redexes(parse_picture("aNb\ncNd")) == [Redex(1, 1, 2, 3, 1)]
-        assert find_redexes(parse_picture("aab\ncNd")) == []
-
-    def test_worked_example_first_redex(self, fx):
-        r = find_redexes(fx["example1"])[0]
-        assert (r.top, r.left, r.bottom, r.right) == (2, 2, 3, 3)
-
-    def test_column_major_order(self, fx):
-        domains = [(r.top, r.left, r.bottom, r.right) for r in find_redexes(fx["example1"])]
-        assert domains == [(2, 2, 3, 3), (1, 4, 2, 5), (3, 4, 4, 5)]
-
-    def test_indices_must_agree(self):
-        assert find_redexes(parse_picture("a1 b2\nc1 d2", k=2)) == []
-
-    def test_matches_rescan_oracle(self, fx):
-        for p in rescan_pool(fx):
-            found = sorted(_redexes(p), key=lambda r: (r[1], r[0], r[3], r[2]))
-            expected = [(r, p.cell(r[0], r[1]).index) for r in found]
-            actual = [((r.top, r.left, r.bottom, r.right), r.index) for r in find_redexes(p)]
-            assert actual == expected, render_picture(p)
-
-
-class TestApplyStep:
-    def test_rewrites_to_neutral(self):
-        p = apply_step(parse_picture("ab\ncd"), Redex(1, 1, 2, 2, 1))
-        assert render_picture(p) == "NN\nNN"
-
-    def test_stale_redex(self):
-        p = parse_picture("ab\ncd")
-        r = Redex(1, 1, 2, 2, 1)
-        q = apply_step(p, r)
-        # already applied, wrong index, past the picture's edge
-        for pic, stale in ((q, r), (p, Redex(1, 1, 2, 2, 2)), (p, Redex(1, 1, 2, 3, 1))):
-            box = (stale.top, stale.left, stale.bottom, stale.right)
-            with pytest.raises(StaleRedex, match=f"^{re.escape(str(box))} no longer matches$"):
-                apply_step(pic, stale)
-
-    def test_stale_exactly_off_the_rescan_oracle(self, fx):
-        # every box of every fourth small picture, and one row and one column past its edge
-        for p in [p for p in rescan_pool(fx) if len(p.cells) <= 16][::4]:
-            applied = {}
-            for top, bottom in combinations_with_replacement(range(1, p.rows + 2), 2):
-                for left, right in combinations_with_replacement(range(1, p.cols + 2), 2):
-                    for index in range(1, p.k + 2):
-                        box = (top, left, bottom, right)
-                        try:
-                            applied[box, index] = apply_step(p, Redex(*box, index))
-                        except StaleRedex:
-                            pass
-            fresh = {(box, p.cell(*box[:2]).index) for box in _redexes(p)}
-            assert applied.keys() == fresh, render_picture(p)
-            assert all(q == _rewrite(p, box) for (box, _), q in applied.items())
-
-    def test_replay_reads_only_the_box(self, fx, monkeypatch):
-        # each step is checked on its own box, so replaying a trace is linear in its boxes
-        trace = in_DN(fx["example1"]).trace
-
-        def rescan(p):
-            raise AssertionError("apply_step rescanned the picture")
-
-        monkeypatch.setattr(neutralize, "find_redexes", rescan)
-        p = fx["example1"]
-        for r in trace:
-            p = apply_step(p, r)
-        assert set(p.cells) == {N}
-        with pytest.raises(StaleRedex):
-            apply_step(p, trace[-1])
 
 
 class TestInDN:
@@ -203,8 +116,8 @@ class TestInDN:
     def test_records_only_the_returned_trace(self, fx, monkeypatch):
         # fig5_left's greedy pass applies 8 rectangles before it sticks
         calls = []
-        post_init = Redex.__post_init__
-        monkeypatch.setattr(Redex, "__post_init__", lambda r: calls.append(r) or post_init(r))
+        init = Redex.__init__
+        monkeypatch.setattr(Redex, "__init__", lambda r, *a: calls.append(a) or init(r, *a))
         assert in_DN(fx["fig5_left"], "exhaustive") == neutralize.Decision(False, ())
         assert not calls, f"{len(calls)} Redexes built"
         assert len(in_DN(fx["fig5_left"]).trace) == len(calls) == 8
@@ -283,12 +196,31 @@ class TestInDN:
         assert result.stdout.split() == ["40"]
 
     def test_trace_replays(self, fx):
-        for name in ("fig2", "example1", "fig1_left"):
-            p = fx[name]
+        # each step is a redex of the picture before it, and the last leaves all N iff p is in DN
+        for p in rescan_pool(fx) + list(fx.values()):
             d = in_DN(p)
-            for r in d.trace:
-                p = apply_step(p, r)
-            assert all(s.is_neutral for s in p.cells)
+            last = [p, *replay_dn_trace(p, d.trace)][-1]
+            assert all(s.is_neutral for s in last.cells) == d.member, render_picture(p)
+
+
+class TestReplayDNTrace:
+    @pytest.mark.parametrize(
+        "corrupt, step",
+        [
+            (lambda t: t[1:], 1),
+            (lambda t: t[:1] + t, 2),
+            (lambda t: [replace(t[0], left=t[0].left + 1, right=t[0].right + 1), *t[1:]], 1),
+            (lambda t: [replace(t[0], index=2), *t[1:]], 1),
+            (lambda t: [*t[:-1], replace(t[-1], bottom=t[-1].bottom + 1)], 6),
+        ],
+        ids=["dropped", "repeated", "shifted", "wrong-index", "past-edge"],
+    )
+    def test_rejects(self, fx, corrupt, step):
+        # a corrupted greedy trace of the worked 4x6 reduction fails at its first bad step
+        trace = list(in_DN(fx["example1"]).trace)
+        assert len(replay_dn_trace(fx["example1"], trace)) == 6
+        with pytest.raises(AssertionError, match=f"^step {step}: "):
+            replay_dn_trace(fx["example1"], corrupt(trace))
 
 
 class TestPrecedence:

@@ -12,10 +12,11 @@ import pytest
 from dyck2d.crossword import is_quaternate
 from dyck2d.grid import BULLET_SYM, N, Picture, sym
 from dyck2d.lab import classify, enumerate_dc, fixtures
-from dyck2d.neutralize import apply_step, find_redexes, in_DN
+from dyck2d.neutralize import in_DN
 from dyck2d.wellnest import in_DB, in_DW
 
-from oracles import mirror_lr, mirror_tb, random_db_member, transpose
+from certificates import ordered_redexes
+from oracles import _rewrite, mirror_lr, mirror_tb, random_db_member, transpose
 
 SIZES = [(2, 2, 1), (2, 4, 1), (4, 2, 1), (2, 6, 1), (6, 2, 1), (4, 4, 1), (2, 8, 1), (8, 2, 1)]
 SIZES += [(4, 6, 1), (6, 4, 1), (2, 2, 2), (2, 4, 2), (4, 2, 2), (4, 4, 2)]
@@ -54,7 +55,7 @@ def db_pool():
 
 DB_POOL = db_pool()
 # the crosswords with their first redex neutralized: neutral cells map to themselves
-PARTLY_NEUTRAL = [apply_step(p, r[0]) for p in CROSSWORDS[::7] if (r := find_redexes(p))]
+PARTLY_NEUTRAL = [_rewrite(p, r[0]) for p in CROSSWORDS[::7] if (r := ordered_redexes(p))]
 
 # each map's image of a 1-based box (top, left, bottom, right) of a picture p
 MAPS = {

@@ -273,8 +273,8 @@ class TestInDW:
         grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
         pictures = (grid, nest(60))
         calls = []
-        post_init = Redex.__post_init__
-        monkeypatch.setattr(Redex, "__post_init__", lambda r: calls.append(r) or post_init(r))
+        init = Redex.__init__
+        monkeypatch.setattr(Redex, "__init__", lambda r, *a: calls.append(a) or init(r, *a))
         for p in pictures:
             assert decide(p)
         assert not calls, f"{len(calls)} Redexes built"
