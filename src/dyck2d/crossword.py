@@ -19,6 +19,7 @@ _PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
     "#a65628", "#f781bf", "#17becf", "#666666", "#bcbd22",
 )
+_MARK_COLOR = ("", *_PALETTE)  # _walk marks circuit n's cells n % len(_PALETTE) + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +37,7 @@ class MatchingGraph:
     picture: Picture
 
     def __post_init__(self) -> None:
-        row, col, _, _ = _match_or_raise(self.picture)
+        row, col, _, _ = _match_or_raise(self.picture, rectangles=False)
         object.__setattr__(self, "row_of", tuple(row))
         object.__setattr__(self, "col_of", tuple(col))
 
@@ -69,8 +70,8 @@ class Circuit:
         return self.nodes[0]
 
 
-def _sweep(p: Picture) -> tuple[list[int], list[int], list, list]:
-    """The row and column partner lists of p, its rectangles and their owners, in one pass.
+def _sweep(p: Picture, *, rectangles: bool) -> tuple[list, list, list | None, list | None]:
+    """The row and column partner lists of p, and its rectangles and their owners, in one pass.
 
     Cells are read in row-major order with one row stack and one stack per
     column, holding flat positions x = i * cols + j (0-based) of open cells:
@@ -85,11 +86,13 @@ def _sweep(p: Picture) -> tuple[list[int], list[int], list, list]:
     left of its b.  Each is a (left, top, right, bottom, index, id) tuple,
     1-based, with id its place in the list, in the order of the d's; owner
     gives, per flat position, the id of the rectangle the cell is a corner
-    of, _NEUTRAL for N, or None.
+    of, _NEUTRAL for N, or None.  Without rectangles both are None: no owner
+    list is made, and a d runs no 4-cycle test and builds no tuple.
     """
     cells, cols = p.cells, p.cols
     n = len(cells)
-    row, col, rects, owner = [-1] * n, [-1] * n, [], [None] * n
+    row, col = [-1] * n, [-1] * n
+    rects, owner = ([], [None] * n) if rectangles else (None, None)
     stacks, rs, j = [[] for _ in range(cols)], [], cols
     for x, s in enumerate(cells):
         if j == cols:  # x starts a row
@@ -125,22 +128,23 @@ def _sweep(p: Picture) -> tuple[list[int], list[int], list, list]:
                 col[x] = b = cs.pop()
                 col[b] = x
                 # off crosswords c, col[c] and row[b] can each be -1
-                if c >= 0 and (a := col[c]) >= 0 and a == row[b]:
+                if rectangles and c >= 0 and (a := col[c]) >= 0 and a == row[b]:
                     owner[a] = owner[b] = owner[c] = owner[x] = rid = len(rects)
                     (top, left), (bottom, right) = divmod(a, cols), divmod(x, cols)
                     rects.append((left + 1, top + 1, right + 1, bottom + 1, i, rid))
             else:
                 cs.clear()
         elif role == NEUTRAL:
-            owner[x] = _NEUTRAL
+            if rectangles:
+                owner[x] = _NEUTRAL
         else:
             rs.clear()
             cs.clear()
     return row, col, rects, owner
 
 
-def _crossword_matching(p: Picture) -> tuple[list[int], list[int], list, list] | None:
-    """The _sweep of a crossword; None for the empty picture and for a non-crossword.
+def _crossword_matching(p: Picture, *, rectangles: bool) -> tuple | None:
+    """_sweep(p, rectangles=...) of a crossword; None for the empty picture and off crosswords.
 
     Raises ContainsNeutral on a non-empty picture with a neutral or bullet
     cell.  Those cells are never matched, so only a picture with an
@@ -148,7 +152,7 @@ def _crossword_matching(p: Picture) -> tuple[list[int], list[int], list, list] |
     """
     if p.is_empty:
         return None
-    sweep = _sweep(p)
+    sweep = _sweep(p, rectangles=rectangles)
     if -1 in sweep[0] or -1 in sweep[1]:
         for s in p.cells:  # a plain loop: the slot read is cheaper than a generator or attrgetter
             if s.index is None:  # only N and the bullet carry no index
@@ -159,7 +163,7 @@ def _crossword_matching(p: Picture) -> tuple[list[int], list[int], list, list] |
 
 def in_DC(p: Picture) -> bool:
     """Whether every row is a row-Dyck word and every column a column-Dyck word."""
-    return _crossword_matching(p) is not None
+    return _crossword_matching(p, rectangles=False) is not None
 
 
 def _positions(p: Picture) -> list[Pos]:
@@ -172,8 +176,8 @@ def _edges(partner: Sequence[int], table: list[Pos]) -> list[Edge]:
     return [(table[x], table[y]) for x, y in enumerate(partner) if x < y]
 
 
-def _match_or_raise(p: Picture) -> tuple[list[int], list[int], list, list]:
-    match = _crossword_matching(p)
+def _match_or_raise(p: Picture, *, rectangles: bool) -> tuple:
+    match = _crossword_matching(p, rectangles=rectangles)
     if match is None:
         raise NotInDC("matching graph needs a crossword picture")
     return match
@@ -184,11 +188,16 @@ def matching_graph(p: Picture) -> MatchingGraph:
     return MatchingGraph(p)
 
 
-def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[list[int]]:
-    """The circuits of a crossword's two partner lists, as flat positions.
+def _walk(row_of: Sequence[int], col_of: Sequence[int]) -> tuple[list[list[int]], bytearray]:
+    """The circuits of a crossword's two partner lists, as flat positions, and each cell's mark.
 
-    A circuit starts at each a not yet seen, in row-major order, and follows
-    the row partner first, so the circuits come out sorted by their start.
+    A circuit starts at the first cell not yet seen, in row-major order, and
+    follows the row partner first, so the circuits come out sorted by their
+    start.  That cell is an a: its circuit has no cell before it, so it lies in
+    the circuit's top row, where a c or a d would have its column partner
+    above it and a b its row partner to its left.  The walk jumps to it with
+    one find, and marks circuit n's cells n % len(_PALETTE) + 1, the slot of
+    its colour in _MARK_COLOR.
 
     The lists must be a crossword's, as the sweep and the enumerator give them
     to every caller.  They pair every cell with another, so each step is undone
@@ -197,19 +206,16 @@ def _walk(cells: tuple, row_of: Sequence[int], col_of: Sequence[int]) -> list[li
     circuit.  The paper proves the rest: the circuits partition the cells, and
     each reads (a b d c)^+ with one index.
     """
-    seen = bytearray(len(cells))
-    out = []
-    for start, s in enumerate(cells):
-        if seen[start] or s.role != "a":
-            continue
-        nodes, x = [], start
+    marks, out, start = bytearray(len(row_of)), [], 0
+    while (start := marks.find(0, start)) >= 0:
+        nodes, x, mark = [], start, len(out) % len(_PALETTE) + 1
         while True:
             nodes += (x, y := row_of[x])
-            seen[x] = seen[y] = 1
+            marks[x] = marks[y] = mark
             if (x := col_of[y]) == start:
                 break
         out.append(nodes)
-    return out
+    return out, marks
 
 
 def circuits(g: MatchingGraph) -> list[Circuit]:
@@ -220,7 +226,7 @@ def circuits(g: MatchingGraph) -> list[Circuit]:
     over g's two partner lists, a crossword's, yields the circuits.
     """
     cells, table = g.picture.cells, _positions(g.picture)
-    walks = _walk(cells, g.row_of, g.col_of)
+    walks, _ = _walk(g.row_of, g.col_of)
     return [Circuit(tuple([table[x] for x in c]), tuple([cells[x] for x in c])) for c in walks]
 
 
@@ -238,11 +244,11 @@ def is_quaternate(p: Picture) -> bool:
     Every circuit has length 4 exactly when the rectangles of the matching
     cover the cells.
     """
-    return 4 * len(_match_or_raise(p)[2]) == len(p.cells)
+    return 4 * len(_match_or_raise(p, rectangles=True)[2]) == len(p.cells)
 
 
-def _export_parts(g: MatchingGraph, sep: str) -> tuple[list[str], list[str], list[list[int]]]:
-    """Per flat position the text i + sep + j of its (i, j) and its label text, and the circuits.
+def _export_parts(g: MatchingGraph, sep: str) -> tuple[list[str], list[str], tuple]:
+    """Per flat position the text i + sep + j of its (i, j) and its label text, and the _walk.
 
     Each row number and each column number is formatted once per picture; a
     position's text is only the concatenation of its row's and its column's.
@@ -252,21 +258,19 @@ def _export_parts(g: MatchingGraph, sep: str) -> tuple[list[str], list[str], lis
     pos = [row + j for row in [f"{i}{sep}" for i in range(1, p.rows + 1)] for j in cols]
     # a symbol's text at k = 1 is its role
     labels = [s.role for s in cells] if p.k == 1 else [s.text(p.k) for s in cells]
-    return pos, labels, _walk(cells, g.row_of, g.col_of)
+    return pos, labels, _walk(g.row_of, g.col_of)
 
 
 def graph_to_dot(g: MatchingGraph) -> str:
     """DOT export: row edges solid, column edges dashed, one color per circuit.
 
     Nodes in row-major order, and edges sorted as one row-major pass over each
-    partner list reads them.  The node lines and the edge lines are joined
-    apart, so no list of every line is held.
+    partner list reads them.  A cell's colour is read off the mark _walk left
+    on it.  The node lines and the edge lines are joined apart, so no list of
+    every line is held.
     """
-    pos, labels, circs = _export_parts(g, ",")
-    color = [""] * len(pos)
-    for n, c in enumerate(circs):
-        for x in c:
-            color[x] = _PALETTE[n % len(_PALETTE)]
+    pos, labels, (_, marks) = _export_parts(g, ",")
+    color = list(map(_MARK_COLOR.__getitem__, marks))
     nodes = "".join(
         [f'  "{ij}" [label="{label}", color="{c}"];\n' for ij, label, c in zip(pos, labels, color)]
     )
@@ -289,7 +293,7 @@ def graph_to_json(g: MatchingGraph) -> str:
     index digits, so nothing needs escaping.  The edges are read off the
     partner lists as for DOT.
     """
-    pos, labels, circs = _export_parts(g, ", ")
+    pos, labels, (circs, _) = _export_parts(g, ", ")
     nodes = ", ".join([f'[{ij}, "{label}"]' for ij, label in zip(pos, labels)])
     row, col = (
         ", ".join([f"[[{pos[x]}], [{pos[y]}]]" for x, y in enumerate(partner) if x < y])

@@ -49,7 +49,7 @@ def classify(p: Picture) -> ClassFlags:
     and column and reads off the rectangles; DC is every cell matched, and
     _classify_matched reads the other three off that sweep.
     """
-    match = _crossword_matching(p)
+    match = _crossword_matching(p, rectangles=True)
     if match is None:
         return ClassFlags(in_dc=False, in_dq=False, in_dn=False, in_dw=False)
     return _classify_matched(p, *match)
@@ -58,11 +58,11 @@ def classify(p: Picture) -> ClassFlags:
 def _classify_matched(p: Picture, row: list, col: list, rects: list, owner: list) -> ClassFlags:
     """The memberships of the crossword p, given its matching and its rectangles.
 
-    rects and owner are as crossword._sweep gives them, but owner need
-    only be exact when the rectangles cover the cells, which is DQ.  DN:
-    Kahn's order over the rectangles completes, which on DQ is acyclicity of
-    the precedence relation (the paper's theorem).  DW: the picture is tiled
-    by accretions (see in_DW).  in_DN gives traces.
+    rects and owner are as crossword._sweep(p, rectangles=True) gives them,
+    but owner need only be exact when the rectangles cover the cells, which
+    is DQ.  DN: Kahn's order over the rectangles completes, which on DQ is
+    acyclicity of the precedence relation (the paper's theorem).  DW: the
+    picture is tiled by accretions (see in_DW).  in_DN gives traces.
     """
     dq = 4 * len(rects) == len(p.cells)
     dn = dq and len(_kahn(p.cols, rects, owner)) == len(rects)
@@ -101,8 +101,8 @@ def _enumerate_matched(rows: int, cols: int, k: int, halve: bool = False) -> Ite
     A d closes a rectangle when the a above its c is the a left of its b; it
     is pushed on rects as crossword._sweep gives it, owner marks its
     corners, and undoing the d pops it.  At a yield row, col and rects equal
-    those of crossword._sweep(picture); owner is stale only on cells no
-    rectangle owns, so it is exact on DQ.
+    those of crossword._sweep(picture, rectangles=True); owner is stale only
+    on cells no rectangle owns, so it is exact on DQ.
     The lists are live, not copies: each is valid until the next item.
 
     weight is how many crosswords of the full stream the item stands for:
@@ -301,7 +301,7 @@ def hamiltonian_search(
     for rows in range(2, max_rows + 1, 2):
         for cols in range(2, max_cols + 1, 2):
             for p, row, col, *_ in _enumerate_matched(rows, cols, k):
-                if len(_walk(p.cells, row, col)) == 1:
+                if len(_walk(row, col)[0]) == 1:
                     found.append(p)
     return found
 

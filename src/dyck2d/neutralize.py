@@ -100,7 +100,7 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     """
     if strategy not in ("greedy", "exhaustive"):
         raise InvalidArgument(f"unknown strategy {strategy!r}")
-    rects, owner = _sweep(p)[2:]  # the partner lists are freed here
+    rects, owner = _sweep(p, rectangles=True)[2:]  # the partner lists are freed here
     order = _kahn(p.cols, rects, owner)
     member = 4 * len(order) + owner.count(_NEUTRAL) == len(p.cells)
     return Decision(member, tuple(map(_redex, order)) if member or strategy == "greedy" else ())

@@ -116,7 +116,7 @@ def in_DW(p: Picture, mixed_border_indices: bool = True) -> bool:
     _well_nested.  Neutral and bullet cells are never matched, so a picture
     with one is not in DW; the empty picture's scan claims nothing.
     """
-    row, col, _, _ = _sweep(p)
+    row, col, _, _ = _sweep(p, rectangles=False)
     return -1 not in row and -1 not in col and _well_nested(p, row, col, mixed_border_indices)
 
 

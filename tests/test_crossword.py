@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from dyck2d import crossword, neutralize, wellnest
 from dyck2d.crossword import (
     _PALETTE,
     MatchingGraph,
@@ -26,7 +27,9 @@ from dyck2d.grid import (
     render_picture,
     sym,
 )
-from dyck2d.lab import double_noose, enumerate_dc
+from dyck2d.lab import classify, double_noose, enumerate_dc
+from dyck2d.neutralize import in_DN, priority_graph
+from dyck2d.wellnest import in_DW
 
 from oracles import (
     oracle_cancelled_pairs,
@@ -72,7 +75,7 @@ class TestPartnerLists:
 
     def test_involutions(self):
         for p in MATCH_POOL:
-            for partner in _sweep(p)[:2]:
+            for partner in _sweep(p, rectangles=True)[:2]:
                 assert len(partner) == len(p.cells)
                 assert all(y == -1 or partner[y] == x for x, y in enumerate(partner))
 
@@ -91,7 +94,7 @@ class TestPartnerLists:
                 for j in range(cols)
                 for x, y in oracle_cancelled_pairs(p.cells[j::cols], "Col")
             }
-            for partner, pairs in zip(_sweep(p), (row_pairs, col_pairs)):
+            for partner, pairs in zip(_sweep(p, rectangles=True), (row_pairs, col_pairs)):
                 assert {(x, y) for x, y in enumerate(partner) if x < y} == pairs
                 matched = {x for pair in pairs for x in pair}
                 unmatched = set(range(rows * cols)) - matched
@@ -99,7 +102,7 @@ class TestPartnerLists:
 
     def test_partners_share_a_line_and_the_opener_comes_first(self):
         for p in MATCH_POOL:
-            row, col, _, _ = _sweep(p)
+            row, col, _, _ = _sweep(p, rectangles=True)
             for partner, line, openers, closers in (
                 (row, lambda x: x // p.cols, "ac", "bd"),
                 (col, lambda x: x % p.cols, "ab", "cd"),
@@ -139,7 +142,31 @@ class TestSweepRectangles:
                 top, left = divmod(a, cols)
                 bottom, right = divmod(d, cols)
                 rects.append((left + 1, top + 1, right + 1, bottom + 1, p.cells[a].index, rid))
-            assert _sweep(p)[2:] == (rects, owner), p
+            assert _sweep(p, rectangles=True)[2:] == (rects, owner), p
+
+    def test_without_rectangles_only_the_partner_lists(self):
+        for p in MATCH_POOL:
+            row, col, rects, owner = _sweep(p, rectangles=False)
+            assert (row, col) == _sweep(p, rectangles=True)[:2], p
+            assert rects is None and owner is None, p
+
+    def test_callers_ask_for_rectangles_only_when_they_read_them(self, monkeypatch, fx):
+        asked, sweep = [], _sweep
+
+        def spy(p, *, rectangles):
+            asked.append(rectangles)
+            return sweep(p, rectangles=rectangles)
+
+        for module in (crossword, neutralize, wellnest):
+            monkeypatch.setattr(module, "_sweep", spy)
+        callers = {
+            matching_graph: False, picture_circuits: False, priority_graph: False,
+            in_DC: False, in_DW: False, classify: True, in_DN: True, is_quaternate: True,
+        }
+        for decide, wanted in callers.items():
+            asked.clear()
+            decide(fx["fig2"])
+            assert asked == [wanted], decide.__name__
 
 
 class TestInDC:
@@ -267,8 +294,10 @@ class TestCircuits:
             theirs = sorted(sorted(c) for c in oracle_circuits(p))
             assert ours == theirs
 
-    def test_circuits_sorted_by_start(self):
-        for p in SMALL_DC:
+    def test_circuits_sorted_by_start(self, fx):
+        # with the partition law, sorted starts put each start at the first cell
+        # no earlier circuit covers, where the walk jumps
+        for p in export_pool(fx):
             starts = [c.northwest for c in picture_circuits(p)]
             assert starts == sorted(starts)
 

@@ -137,7 +137,7 @@ class TestEnumerateDC:
                 text = render_picture(p)
                 assert weight == 1 or halve, text
                 # both close a rectangle at its d, so the lists and ids agree outright
-                sweep = _crossword_matching(p)
+                sweep = _crossword_matching(p, rectangles=True)
                 assert sweep is not None and (row, col, rects) == sweep[:3], text
                 assert [r[-1] for r in rects] == list(range(len(rects))), text
                 for left, top, right, bottom, _, rid in rects:
@@ -220,7 +220,7 @@ class TestCensus:
         class Scanned(Exception):
             pass
 
-        def scan(*args):
+        def scan(*args, **kwargs):
             raise Scanned
 
         monkeypatch.setattr(crossword, "_sweep", scan)

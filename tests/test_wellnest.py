@@ -339,11 +339,11 @@ class TestFrame:
 
     def test_fixtures(self, fx):
         p = fx["fig1_left"]
-        assert wellnest._is_frame(p, *_sweep(p)[:2], 0, True)
+        assert wellnest._is_frame(p, *_sweep(p, rectangles=False)[:2], 0, True)
         # fig2's border symbols read as a frame, but its core ba/dc is not balanced,
         # so the top and left borders are not paired across the box
         p = fx["fig2"]
-        assert not wellnest._is_frame(p, *_sweep(p)[:2], 0, True)
+        assert not wellnest._is_frame(p, *_sweep(p, rectangles=False)[:2], 0, True)
         assert not in_DW(p)
 
     def test_frames_read_as_accretions(self):
@@ -353,7 +353,7 @@ class TestFrame:
         below, across = {"a": "c", "b": "d"}, {"a": "b", "c": "d"}
         accepted = 0
         for p in pool:
-            row, col, _, _ = _sweep(p)
+            row, col, _, _ = _sweep(p, rectangles=False)
             for a, s in enumerate(p.cells):
                 if s.role != "a" or not wellnest._is_frame(p, row, col, a, True):
                     continue
