@@ -43,11 +43,12 @@ class Census:
 
 
 def classify(p: Picture) -> ClassFlags:
-    """The four memberships in hierarchy order, each only inside the wider class.
+    """The four memberships, each only inside the wider class.
 
     One sweep of the cells (crossword._crossword_matching) matches every row
     and column and reads off the rectangles; DC is every cell matched, and
-    _classify_matched reads the other three off that sweep.
+    _classify_matched reads the other three off that sweep, DW before DN:
+    a well-nested picture is neutralizable, so it needs no Kahn pass.
     """
     match = _crossword_matching(p, rectangles=True)
     if match is None:
@@ -60,13 +61,16 @@ def _classify_matched(p: Picture, row: list, col: list, rects: list, owner: list
 
     rects and owner are as crossword._sweep(p, rectangles=True) gives them,
     but owner need only be exact when the rectangles cover the cells, which
-    is DQ.  DN: Kahn's order over the rectangles completes, which on DQ is
-    acyclicity of the precedence relation (the paper's theorem).  DW: the
-    picture is tiled by accretions (see in_DW).  in_DN gives traces.
+    is DQ.  DW is read first: the picture is tiled by accretions (see in_DW),
+    a ring scan that is exact on any crossword.  DN: a well-nested picture is
+    neutralizable (the paper's DW ⊆ DN), so Kahn's pass runs only on DQ
+    pictures off DW, where its order completes iff the precedence relation is
+    acyclic (the paper's theorem).  The tests, not this function, re-derive
+    DW ⊆ DN through in_DN.  in_DN gives traces.
     """
     dq = 4 * len(rects) == len(p.cells)
-    dn = dq and len(_kahn(p.cols, rects, owner)) == len(rects)
-    dw = dn and _well_nested(p, row, col)
+    dw = dq and _well_nested(p, row, col)
+    dn = dw or dq and len(_kahn(p.cols, rects, owner)) == len(rects)
     return ClassFlags(in_dc=True, in_dq=dq, in_dn=dn, in_dw=dw)
 
 
@@ -211,7 +215,8 @@ def census(
     """Classify every crossword of the given size.
 
     _classify_matched decides each from the matching and the rectangles that
-    _enumerate_matched hands over, with no cell scanned again.  Each is tallied
+    _enumerate_matched hands over, with no cell scanned again; Kahn's pass
+    runs only on the DQ pictures off DW.  Each is tallied
     by its depth, the classes past DC it is in; the first of each depth below
     DW witnesses that gap.
 

@@ -5,14 +5,16 @@ from __future__ import annotations
 import graphlib
 import heapq
 from dataclasses import dataclass
+from itertools import starmap
+from operator import itemgetter
+from typing import NamedTuple
 
 from .crossword import _NEUTRAL, Circuit, Pos, _sweep, picture_circuits
 from .errors import InvalidArgument, NotQuaternate
 from .grid import Picture
 
 
-@dataclass(frozen=True, slots=True)
-class Redex:
+class Redex(NamedTuple):
     """A 1-based inclusive box whose corners a b c d carry index; all else in it is N."""
 
     top: int
@@ -32,21 +34,28 @@ class Decision:
 
         The domain is [top, left, bottom, right] and steps count from 1.  The
         text is json.dumps' with its default separators, written by joins:
-        every value is an int, so nothing needs escaping.
+        every value is an int, so nothing needs escaping.  The positions are
+        read from one table of str(0..side), side the largest bottom or right,
+        so a position that many steps share is formatted once; the table is
+        sized by the picture, never by the step count or the index (k may be
+        huge), and the index and step number are formatted per step.
         """
+        trace = self.trace
+        side = max(max(map(_BOTTOM, trace), default=0), max(map(_RIGHT, trace), default=0))
+        pos = list(map(str, range(side + 1)))
         steps = ", ".join(
             [
-                f'{{"domain": [{r.top}, {r.left}, {r.bottom}, {r.right}], '
-                f'"index": {r.index}, "step_number": {n}}}'
-                for n, r in enumerate(self.trace, start=1)
+                f'{{"domain": [{pos[top]}, {pos[left]}, {pos[bottom]}, {pos[right]}], '
+                f'"index": {index}, "step_number": {n}}}'
+                for n, (top, left, bottom, right, index) in enumerate(trace, start=1)
             ]
         )
         return f"[{steps}]"
 
 
-def _redex(rect: tuple) -> Redex:
-    left, top, right, bottom, index, _ = rect
-    return Redex(top, left, bottom, right, index)
+_BOTTOM, _RIGHT = itemgetter(2), itemgetter(3)
+# Kahn's (left, top, right, bottom, index, id) rectangle, read in Redex's field order
+_BOX = itemgetter(1, 0, 3, 2, 4)
 
 
 def _kahn(cols: int, rects: list, owner: list) -> list:
@@ -97,13 +106,16 @@ def in_DN(p: Picture, strategy: str = "greedy") -> Decision:
     search over every redex order would give: two redexes never share a
     corner and a redex stays one until it is applied, so every maximal order
     applies the same rectangles, and one order neutralizes p iff all do.
+    Each step is a Redex named tuple read off Kahn's rectangle by _BOX, and
+    exhaustive builds none off DN.
     """
     if strategy not in ("greedy", "exhaustive"):
         raise InvalidArgument(f"unknown strategy {strategy!r}")
     rects, owner = _sweep(p, rectangles=True)[2:]  # the partner lists are freed here
     order = _kahn(p.cols, rects, owner)
     member = 4 * len(order) + owner.count(_NEUTRAL) == len(p.cells)
-    return Decision(member, tuple(map(_redex, order)) if member or strategy == "greedy" else ())
+    trace = tuple(starmap(Redex, map(_BOX, order))) if member or strategy == "greedy" else ()
+    return Decision(member, trace)
 
 
 @dataclass(frozen=True, slots=True)

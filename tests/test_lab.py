@@ -76,6 +76,23 @@ class TestClassify:
         assert time.perf_counter() - start < 1.0
         assert all(flags.as_dict().values())
 
+    def test_kahn_runs_only_off_dw(self, fx, monkeypatch):
+        # DW ⊆ DN: a well-nested picture is neutralizable without Kahn's pass
+        from test_wellnest import deep_nest
+
+        calls = []
+        kahn = lab._kahn
+        monkeypatch.setattr(lab, "_kahn", lambda *a: calls.append(a) or kahn(*a))
+        grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 10)] * 10)
+        for p in (fx["fig1_left"], grid, deep_nest(60)):
+            assert classify(p).in_dw
+        assert not calls, f"{len(calls)} Kahn passes"
+        for name, in_dn in (("fig2", True), ("p_N", True), ("fig5_left", False)):
+            calls.clear()
+            flags = classify(fx[name])
+            assert (flags.in_dq, flags.in_dn, flags.in_dw) == (True, in_dn, False)
+            assert len(calls) == 1, name
+
 
 class TestEnumerateDC:
     def test_odd_sizes_empty(self):

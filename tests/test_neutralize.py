@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from dyck2d.neutralize import (
     in_DN_quaternate,
     priority_graph,
 )
+from dyck2d.wellnest import in_DW
 
 from certificates import ordered_redexes, replay_dn_trace
 from oracles import _rewrite, oracle_greedy_trace, oracle_in_dn
@@ -104,7 +104,12 @@ class TestInDN:
         assert steps[0] == {"domain": [2, 2, 3, 3], "index": 1, "step_number": 1}
 
     def test_trace_json_is_json_dumps_text(self, fx):
-        for p in rescan_pool(fx):
+        # 3-digit positions over thousands of steps, 4-digit columns, and a 7-digit index
+        from test_wellnest import deep_nest
+
+        strip = parse_picture("ab" * 1000 + "\n" + "cd" * 1000)
+        huge = parse_picture("a999999 b999999\nc999999 d999999", k=10**6)
+        for p in [*rescan_pool(fx), deep_nest(60), strip, huge]:
             for strategy in ("greedy", "exhaustive"):
                 d = in_DN(p, strategy)
                 steps = [
@@ -116,11 +121,22 @@ class TestInDN:
     def test_records_only_the_returned_trace(self, fx, monkeypatch):
         # fig5_left's greedy pass applies 8 rectangles before it sticks
         calls = []
-        init = Redex.__init__
-        monkeypatch.setattr(Redex, "__init__", lambda r, *a: calls.append(a) or init(r, *a))
+        new = Redex.__new__
+        monkeypatch.setattr(Redex, "__new__", lambda cls, *a: calls.append(a) or new(cls, *a))
         assert in_DN(fx["fig5_left"], "exhaustive") == neutralize.Decision(False, ())
         assert not calls, f"{len(calls)} Redexes built"
         assert len(in_DN(fx["fig5_left"]).trace) == len(calls) == 8
+
+    def test_well_nested_is_neutralizable(self, fx):
+        # the paper's DW ⊆ DN, which classify relies on and no longer checks
+        from test_wellnest import deep_nest
+
+        pool = SMALL_DC + K2_DC + list(fx.values()) + [deep_nest(d) for d in range(1, 31)]
+        pool += enumerate_dc(6, 6)
+        well_nested = [p for p in pool if in_DW(p)]
+        assert len(well_nested) >= 100
+        for p in well_nested:
+            assert in_DN(p).member, render_picture(p)
 
     def test_fixture_memberships(self, fx):
         assert in_DN(fx["fig1_left"]).member
@@ -203,15 +219,29 @@ class TestInDN:
             assert all(s.is_neutral for s in last.cells) == d.member, render_picture(p)
 
 
+class TestRedex:
+    def test_public_face(self):
+        r = Redex(1, 1, 2, 2, 1)
+        assert r == Redex(top=1, left=1, bottom=2, right=2, index=1)
+        assert Redex._fields == ("top", "left", "bottom", "right", "index")
+        assert (r.top, r.left, r.bottom, r.right, r.index) == (1, 1, 2, 2, 1)
+        assert repr(r) == "Redex(top=1, left=1, bottom=2, right=2, index=1)"
+        assert hash(r) == hash(Redex(1, 1, 2, 2, 1)) and len({r, Redex(1, 1, 2, 2, 1)}) == 1
+        assert r != Redex(1, 1, 2, 2, 2)
+        assert r == (1, 1, 2, 2, 1)  # a named tuple equals the plain tuple of its fields
+        with pytest.raises(AttributeError):
+            r.top = 2
+
+
 class TestReplayDNTrace:
     @pytest.mark.parametrize(
         "corrupt, step",
         [
             (lambda t: t[1:], 1),
             (lambda t: t[:1] + t, 2),
-            (lambda t: [replace(t[0], left=t[0].left + 1, right=t[0].right + 1), *t[1:]], 1),
-            (lambda t: [replace(t[0], index=2), *t[1:]], 1),
-            (lambda t: [*t[:-1], replace(t[-1], bottom=t[-1].bottom + 1)], 6),
+            (lambda t: [t[0]._replace(left=t[0].left + 1, right=t[0].right + 1), *t[1:]], 1),
+            (lambda t: [t[0]._replace(index=2), *t[1:]], 1),
+            (lambda t: [*t[:-1], t[-1]._replace(bottom=t[-1].bottom + 1)], 6),
         ],
         ids=["dropped", "repeated", "shifted", "wrong-index", "past-edge"],
     )

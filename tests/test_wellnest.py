@@ -273,8 +273,8 @@ class TestInDW:
         grid = vcat(*[hcat(*[parse_picture("ab\ncd")] * 20)] * 20)
         pictures = (grid, nest(60))
         calls = []
-        init = Redex.__init__
-        monkeypatch.setattr(Redex, "__init__", lambda r, *a: calls.append(a) or init(r, *a))
+        new = Redex.__new__
+        monkeypatch.setattr(Redex, "__new__", lambda cls, *a: calls.append(a) or new(cls, *a))
         for p in pictures:
             assert decide(p)
         assert not calls, f"{len(calls)} Redexes built"
