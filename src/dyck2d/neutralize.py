@@ -34,26 +34,18 @@ class Decision:
 
         The domain is [top, left, bottom, right] and steps count from 1.  The
         text is json.dumps' with its default separators, written by joins:
-        every value is an int, so nothing needs escaping.  The positions are
-        read from one table of str(0..side), side the largest bottom or right,
-        so a position that many steps share is formatted once; the table is
-        sized by the picture, never by the step count or the index (k may be
-        huge), and the index and step number are formatted per step.
+        every value is an int, so nothing needs escaping.
         """
-        trace = self.trace
-        side = max(max(map(_BOTTOM, trace), default=0), max(map(_RIGHT, trace), default=0))
-        pos = list(map(str, range(side + 1)))
         steps = ", ".join(
             [
-                f'{{"domain": [{pos[top]}, {pos[left]}, {pos[bottom]}, {pos[right]}], '
+                f'{{"domain": [{top}, {left}, {bottom}, {right}], '
                 f'"index": {index}, "step_number": {n}}}'
-                for n, (top, left, bottom, right, index) in enumerate(trace, start=1)
+                for n, (top, left, bottom, right, index) in enumerate(self.trace, start=1)
             ]
         )
         return f"[{steps}]"
 
 
-_BOTTOM, _RIGHT = itemgetter(2), itemgetter(3)
 # Kahn's (left, top, right, bottom, index, id) rectangle, read in Redex's field order
 _BOX = itemgetter(1, 0, 3, 2, 4)
 
