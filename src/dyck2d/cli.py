@@ -161,12 +161,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _verbs() -> dict:
+    """Per verb: its run, the actions that store a value, and its options by full string."""
+    sub = next(a for a in build_parser()._actions if a.dest == "verb")
+    table = {}
+    for verb, sp in sub.choices.items():
+        actions = [a for a in sp._actions if a.default != argparse.SUPPRESS]  # all but -h
+        options = {s: a for a in actions for s in a.option_strings}
+        table[verb] = sp.get_default("run"), actions, options
+    return table
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace parse_args(argv) gives, read from the parser's actions alone;
+    None for any argv that main's docstring leaves to argparse."""
+    entry = _verbs().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    run, actions, options = entry
+    values = {a.dest: a.default for a in actions}
+    positionals = [a for a in actions if not a.option_strings]
+    seen = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            action, token = options[token], next(tokens, "-")  # a missing value reads as "-"
+            if token.startswith("-"):
+                return None
+        elif positionals and (token == "-" or not token.startswith("-")):
+            action = positionals.pop(0)
+        else:
+            return None
+        try:
+            value = action.type(token) if action.type else token
+        except ValueError:
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.append(action)
+    if any(a.required and a not in seen for a in actions):
+        return None
+    return argparse.Namespace(verb=argv[0], run=run, **values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one verb and return its exit status; argument errors raise SystemExit(2).
 
     main can be called repeatedly in one process and builds its parser once.
+    It reads argv straight from the parser's actions when argv is a verb, then
+    that verb's options, each written out in full with a value that does not
+    start with "-", and positionals that do not start with "-" or are "-";
+    every value passes its type and choices, and every required argument is
+    there. Every other argv (help, "--", "--opt=value", abbreviations, negative
+    numbers, errors) goes to argparse, the one source of help, usage and error
+    text. Both give the same namespace.
     """
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (Dyck2dError, OSError, UnicodeDecodeError) as exc:

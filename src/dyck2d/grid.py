@@ -57,9 +57,9 @@ def word_text(w: Sequence[Symbol], k: int = 1) -> str:
     return sep.join(s.text(k) for s in w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sym(role: str, index: Optional[int] = None) -> Symbol:
-    """Interned Symbol constructor."""
+    """Interned Symbol constructor; its cache is bounded, so equal Symbols may be two objects."""
     return Symbol(role, index)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -8,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dyck2d import cli
 from dyck2d.cli import EXIT_EXPECT_FAILED, EXIT_INPUT_ERROR, EXIT_OK, build_parser, main
 from dyck2d.dyck1d import ROW, Pairing, enumerate_dyck, parse_word
 from dyck2d import errors
@@ -260,6 +262,12 @@ class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_no_argv_reads_sys_argv(self, tmp_path, monkeypatch, capsys):
+        # the console script calls main() with no argument
+        monkeypatch.setattr("sys.argv", ["dyck2d", "classify", "--expect", "dw", write(tmp_path, "ab\ncd")])
+        assert main() == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["in_dw"]
+
     @pytest.mark.parametrize("argv", [["census", "--rows", "x", "--cols", "2"], ["no-such-verb"], []])
     def test_usage_errors_repeat(self, argv, capsys):
         for _ in range(2):
@@ -300,6 +308,14 @@ class TestReuse:
         assert json.loads(capsys.readouterr().out)["in_dw"]
         assert main(["classify", path]) == EXIT_INPUT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_fresh_indices_keep_the_symbol_cache_bounded(self):
+        calls = 2000
+        for n in range(calls):
+            i = 10**8 + n
+            assert run_in_process(["classify", "--k", str(10**9), "-"], f"a{i} b{i}\nc{i} d{i}")[0] == EXIT_OK
+        info = sym.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 4 * calls
 
 
 PICTURE_VERBS = (
@@ -373,6 +389,115 @@ def test_fuzz_word_verb(word):
     code, _, err = run_in_process(["embed-row", word], "")
     assert code in (EXIT_OK, EXIT_INPUT_ERROR), (word, code)
     assert "Traceback" not in err and err.count("\n") <= 1 and len(err.encode()) < 200, err[:300]
+
+
+# argv pieces from every verb and option string of the parser, with abbreviations,
+# --opt=value, --, -h, -, "", a negative number, ints spelt as int() reads them
+# (spaces, underscores, an Arabic-Indic 3) and choice values with near misses
+_VERB_PARSERS = next(a for a in build_parser()._actions if a.dest == "verb").choices
+_OPTION_STRINGS = sorted({s for sp in _VERB_PARSERS.values() for a in sp._actions for s in a.option_strings})
+_ARG_VALUES = st.sampled_from(
+    ["-", "", "-3", "2", " 3 ", "0_3", "\u0663", "x", "2.0", "dc", "dw", "xx", "json", "dot", "jso",
+     "greedy", "exhaustive", "greed", "fig3_right", "abcd", "--", "-h", "nope"]
+)
+_OPTION = st.sampled_from(_OPTION_STRINGS)
+_ARG_PIECES = st.one_of(
+    _ARG_VALUES.map(lambda value: [value]),
+    _OPTION.map(lambda option: [option]),
+    st.tuples(_OPTION, _ARG_VALUES).map(list),
+    st.tuples(_OPTION, st.integers(3, 9), _ARG_VALUES).map(lambda t: [t[0][: t[1]], t[2]]),
+    st.tuples(_OPTION, _ARG_VALUES).map("=".join).map(lambda token: [token]),
+)
+
+
+def _taken_values(action):
+    if action.choices:
+        return list(action.choices)
+    return ["2", " 3 ", "0_3", "\u0663"] if action.type is int else ["-", "abcd", "fig3_right"]
+
+
+def _verb_argv(verb):
+    """verb, then its own options and positionals with values they take, and one piece in four any other."""
+    own = st.one_of(
+        st.sampled_from(_taken_values(a)).map(lambda value, a=a: [*a.option_strings[-1:], value])
+        for a in _VERB_PARSERS[verb]._actions
+        if a.default != argparse.SUPPRESS
+    )
+    piece = st.integers(0, 3).flatmap(lambda n: own if n else _ARG_PIECES)
+    return st.lists(piece, max_size=6).map(
+        lambda pieces: [verb, *(token for piece in pieces for token in piece)]
+    )
+
+
+_ARGV = st.one_of(
+    st.sampled_from(sorted(_VERB_PARSERS)).flatmap(_verb_argv),
+    st.sampled_from([[], ["nope"], ["-h"], ["--"], [""]]),
+)
+
+
+def outcome(argv):
+    """main(argv) on a 2x2 picture on stdin: its exit code, or SystemExit's, stdout and stderr."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO("ab\ncd\n")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestReader:
+    """main reads a well-formed argv from the parser's actions; argparse reads every other one."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_ARGV)
+    # one example per way the reader returns: read, and each fallback
+    @example(["embed-row", "abcd"])
+    @example(["graph", "--format", "json", "-"])
+    @example([])
+    @example(["nope"])
+    @example(["classify", "--k", "-3", "-"])
+    @example(["classify", "--k"])
+    @example(["classify", "--k=2"])
+    @example(["classify", "-", "-"])
+    @example(["census", "--rows", "x", "--cols", "2"])
+    @example(["classify", "--expect", "xx"])
+    @example(["census", "--cols", "4"])
+    def test_namespace_is_argparse_namespace(self, argv):
+        args = cli._read_argv(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ARGV)
+    def test_main_prints_what_argparse_alone_gives(self, argv):
+        read = outcome(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_read_argv", lambda argv: None)
+            assert outcome(argv) == read
+
+    def test_bench_argv_shapes_skip_argparse(self, tmp_path, monkeypatch):
+        parsed, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            parsed.append(args)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        path = write(tmp_path, "ab\ncd")
+        for argv in (
+            ["classify", path],
+            ["neutralize", path],
+            ["graph", "--format", "dot", path],
+            ["graph", "--format", "json", path],
+            ["census", "--rows", "6", "--cols", "6"],
+        ):
+            assert outcome(argv)[0] == EXIT_OK
+        assert parsed == []
 
 
 @pytest.mark.parametrize(
