@@ -350,12 +350,15 @@ _SPLICED = st.builds(
 
 
 def run_in_process(argv, text):
-    """main(argv) on stdin text: its exit code, standard output and standard error."""
+    """main(argv) on stdin text: its exit code, or ("SystemExit", code), standard output and standard error."""
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -435,21 +438,6 @@ _ARGV = st.one_of(
 )
 
 
-def outcome(argv):
-    """main(argv) on a 2x2 picture on stdin: its exit code, or SystemExit's, stdout and stderr."""
-    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO("ab\ncd\n")
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("SystemExit", exc.code)
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
-
-
 class TestReader:
     """main reads a well-formed argv from the parser's actions; argparse reads every other one."""
 
@@ -475,10 +463,10 @@ class TestReader:
     @settings(max_examples=300, deadline=None)
     @given(_ARGV)
     def test_main_prints_what_argparse_alone_gives(self, argv):
-        read = outcome(argv)
+        read = run_in_process(argv, "ab\ncd\n")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_read_argv", lambda argv: None)
-            assert outcome(argv) == read
+            assert run_in_process(argv, "ab\ncd\n") == read
 
     def test_bench_argv_shapes_skip_argparse(self, tmp_path, monkeypatch):
         parsed, parse = [], argparse.ArgumentParser.parse_known_args
@@ -496,7 +484,7 @@ class TestReader:
             ["graph", "--format", "json", path],
             ["census", "--rows", "6", "--cols", "6"],
         ):
-            assert outcome(argv)[0] == EXIT_OK
+            assert run_in_process(argv, "")[0] == EXIT_OK
         assert parsed == []
 
 

@@ -11,16 +11,13 @@ SystemExit call pins its code, its usage lines and the prog that reported
 the error. tests/test_cli.py checks that text against argparse itself.
 """
 
-import contextlib
 import hashlib
-import io
 import json
-import sys
 
-from dyck2d.cli import main
 from dyck2d.grid import render_picture
 from dyck2d.lab import CLASS_NAMES, enumerate_dc, fixtures
 
+from test_cli import run_in_process
 from test_wellnest import deep_nest
 
 PICTURE_VERBS = (
@@ -82,19 +79,11 @@ def calls():
 
 
 def run(argv, text):
-    """main(argv) on stdin text: its exit code, stdout and stderr, as the digest reads them."""
-    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ["SystemExit", exc.code]
-                err = io.StringIO(err.getvalue().partition(": error: ")[0])
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
+    """run_in_process, with an argument error's stderr cut before argparse's own words."""
+    code, out, err = run_in_process(argv, text)
+    if isinstance(code, tuple):
+        err = err.partition(": error: ")[0]
+    return code, out, err
 
 
 def digests():
