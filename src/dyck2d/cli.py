@@ -180,9 +180,8 @@ def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     if entry is None:
         return None
     run, actions, options = entry
-    values = {a.dest: a.default for a in actions}
+    values = {a.dest: a.default for a in actions if not a.required}
     positionals = [a for a in actions if not a.option_strings]
-    seen = []
     tokens = iter(argv[1:])
     for token in tokens:
         if token in options:
@@ -200,8 +199,7 @@ def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
-        seen.append(action)
-    if any(a.required and a not in seen for a in actions):
+    if any(a.dest not in values for a in actions):  # a required option is missing
         return None
     return argparse.Namespace(verb=argv[0], run=run, **values)
 

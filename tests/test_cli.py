@@ -448,7 +448,7 @@ class TestReader:
     @example(["graph", "--format", "json", "-"])
     @example([])
     @example(["nope"])
-    @example(["classify", "--k", "-3", "-"])
+    @example(["fixtures", "--name", "--"])
     @example(["classify", "--k"])
     @example(["classify", "--k=2"])
     @example(["classify", "-", "-"])

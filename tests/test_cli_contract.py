@@ -5,10 +5,10 @@ stderr go into its verb's digest, so a change to any byte the CLI prints
 fails here and names the verb. A change meant to alter CLI bytes updates
 that verb's digest in the same commit and says which bytes changed and why.
 
-argparse writes the text after ``: error:`` itself, and its wording moves
-between Python versions (3.12 dropped the quotes in choice lists), so a
-SystemExit call pins its code, its usage lines and the prog that reported
-the error. tests/test_cli.py checks that text against argparse itself.
+The text after ``: error:`` is argparse's own wording, which may change
+between the Python versions CI runs, so a SystemExit call pins its code,
+its usage lines and the prog that reported the error. tests/test_cli.py
+checks that text against argparse itself.
 """
 
 import hashlib
